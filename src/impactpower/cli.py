@@ -11,7 +11,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,10 +26,6 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError:
         return 0
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
 
 
 def _fmt(value: float) -> str:
@@ -67,6 +62,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
         try:
             ham = dynamics.load_hamiltonian(args.hamiltonian)
             res = dynamics.impact_power_result(rho, ham)
+            profile = _impact_profile(rho, ham, args.time_samples)
         except ImpactPowerError as exc:
             return _fail(f"invalid hamiltonian file {args.hamiltonian!r}: {exc}")
         except (OSError, json.JSONDecodeError) as exc:
@@ -83,23 +79,32 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "exact": res.exact,
             "upper_bound": res.upper_bound,
         }
-        if not ham.trivial and args.time_samples > 0:
-            levels, _ = ham.distinct_levels()
-            span = 2.0 * math.pi / float(np.min(np.diff(levels)))
-            profile = []
-            for j in range(args.time_samples + 1):
-                t = j * span / args.time_samples
-                profile.append(
-                    {
-                        "t": t,
-                        "impact": dynamics.impact(rho, ham, t),
-                        "trace_impact": dynamics.trace_impact(rho, ham, t),
-                    }
-                )
+        if profile:
             out["impact_profile"] = profile
 
     _print_json(out)
     return 0
+
+
+def _impact_profile(
+    rho: states.DensityMatrix, ham: dynamics.LocalHamiltonian, samples: int
+) -> list[dict]:
+    """Impact and trace impact at samples + 1 times over one slowest period."""
+    if ham.trivial or samples <= 0:
+        return []
+    levels, _ = ham.distinct_levels()
+    span = 2.0 * math.pi / float(np.min(np.diff(levels)))
+    profile = []
+    for j in range(samples + 1):
+        t = j * span / samples
+        profile.append(
+            {
+                "t": t,
+                "impact": dynamics.impact(rho, ham, t),
+                "trace_impact": dynamics.trace_impact(rho, ham, t),
+            }
+        )
+    return profile
 
 
 # --- scan ---------------------------------------------------------------------
@@ -143,11 +148,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             rho = states.random_state((d_a, d_b), rank=rank, seed=[args.seed, i])
             return _scan_row(str(i), rho)
 
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                rows = list(pool.map(one, range(args.samples)))
-        else:
-            rows = [one(i) for i in range(args.samples)]
+        rows = verify.map_indexed(one, args.samples, args.threads)
 
     text = "\n".join([CSV_HEADER] + rows) + "\n"
     if args.out:
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--dims", default="2x2", help="dims for random, like 2x2 or 2x3")
     scan.add_argument("--rank", type=int, default=0, help="rank for random (default full)")
     scan.add_argument("--seed", type=int, default=_default_seed())
-    scan.add_argument("--threads", type=int, default=_default_threads())
+    scan.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     scan.add_argument("--out", help="write CSV here instead of stdout")
     scan.set_defaults(func=cmd_scan)
 
@@ -234,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--seed", type=int, default=_default_seed())
     ver.add_argument("--budget", default="quick", choices=["quick", "full"])
-    ver.add_argument("--threads", type=int, default=_default_threads())
+    ver.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     ver.add_argument("--inject-state", help=argparse.SUPPRESS)
     ver.set_defaults(func=cmd_verify)
 

@@ -51,6 +51,10 @@ class LocalHamiltonian:
         for p in projectors:
             if p.shape != (d, d):
                 raise DimensionMismatch("projectors have inconsistent shapes")
+        if not np.all(np.isfinite(energies)):
+            raise InvalidHamiltonian("energies have non-finite (NaN or inf) entries")
+        if not all(np.all(np.isfinite(p)) for p in projectors):
+            raise InvalidHamiltonian("projectors have non-finite (NaN or inf) entries")
         for i, p in enumerate(projectors):
             for j, q in enumerate(projectors):
                 target = p if i == j else 0.0
@@ -134,13 +138,17 @@ class LocalHamiltonian:
         axis = np.asarray(axis, dtype=float).reshape(-1)
         if axis.shape != (3,):
             raise DimensionMismatch(f"bloch axis must have 3 components, got {axis.shape}")
+        if not np.all(np.isfinite(axis)):
+            raise OutOfRange("bloch axis has non-finite (NaN or inf) components")
         nrm = float(np.linalg.norm(axis))
         if nrm == 0.0:
             raise OutOfRange("bloch axis must be nonzero")
+        gap = float(gap)
+        if not math.isfinite(gap):
+            raise OutOfRange(f"gap {gap!r} is non-finite")
         axis = axis / nrm
         r_sigma = sum(axis[i] * linalg.PAULIS[i] for i in range(3))
         eye2 = np.eye(2, dtype=complex)
-        gap = float(gap)
         return cls(
             np.array([-gap / 2.0, gap / 2.0]),
             ((eye2 - r_sigma) / 2.0, (eye2 + r_sigma) / 2.0),
@@ -330,11 +338,11 @@ def hamiltonian_from_dict(data: dict) -> LocalHamiltonian:
             if d_a != 2:
                 raise InvalidHamiltonian("bloch_axis shorthand requires dA = 2")
             return LocalHamiltonian.from_bloch_axis(data["bloch_axis"], data["gap"])
-        energies = data["energies"]
+        energies = np.asarray(data["energies"], dtype=float)
         projectors = [linalg.pairs_to_matrix(p, d_a, d_a) for p in data["projectors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidHamiltonian(f"malformed hamiltonian object: {exc}") from exc
-    return LocalHamiltonian(np.asarray(energies, dtype=float), tuple(projectors))
+    return LocalHamiltonian(energies, tuple(projectors))
 
 
 def load_hamiltonian(path) -> LocalHamiltonian:

@@ -23,7 +23,6 @@ from .errors import (
     OutOfRange,
 )
 
-HERMITIAN_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 
@@ -33,10 +32,13 @@ def _validated_density(mat: np.ndarray, dim: int) -> np.ndarray:
         raise DimensionMismatch(
             f"state matrix has shape {mat.shape}, expected {(dim, dim)}"
         )
+    if not np.all(np.isfinite(mat)):
+        raise InvalidDensityMatrix("finiteness violated: rho has non-finite (NaN or inf) entries")
     dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > HERMITIAN_TOL:
+    if dev > linalg.HERMITICITY_TOL:
         raise InvalidDensityMatrix(
-            f"hermiticity violated: max |rho - rho^dagger| = {dev:.3e} > {HERMITIAN_TOL:.1e}"
+            f"hermiticity violated: max |rho - rho^dagger| = {dev:.3e} "
+            f"> {linalg.HERMITICITY_TOL:.1e}"
         )
     mat = (mat + mat.conj().T) / 2.0
     tr = float(np.trace(mat).real)
@@ -117,6 +119,8 @@ def from_pure(vec: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
         raise DimensionMismatch(
             f"vector of length {vec.size} does not fit dims {d_a}x{d_b}"
         )
+    if not np.all(np.isfinite(vec)):
+        raise NotNormalized("state vector has non-finite (NaN or inf) entries")
     nrm = float(np.linalg.norm(vec))
     if abs(nrm - 1.0) > 1e-9:
         raise NotNormalized(f"state vector norm {nrm!r} is not 1 within 1e-9")
@@ -186,6 +190,8 @@ class ClassicalQuantumSpec:
         basis = np.asarray(self.basis, dtype=complex)
         blocks = tuple(np.asarray(b, dtype=complex) for b in self.blocks)
         n = probs.size
+        if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(basis))):
+            raise OutOfRange("probabilities or basis have non-finite (NaN or inf) entries")
         if basis.ndim != 2 or basis.shape[1] != n or len(blocks) != n:
             raise DimensionMismatch(
                 f"need one basis column and one block per probability "
@@ -237,6 +243,8 @@ def random_state(
     for a given seed.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
+    if d_a < 1 or d_b < 1:
+        raise DimensionMismatch(f"subsystem dimensions must be >= 1, got {dims}")
     dim = d_a * d_b
     if rank is None:
         rank = dim
@@ -325,11 +333,9 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 def state_from_dict(data: dict) -> DensityMatrix:
     try:
         d_a, d_b = (int(v) for v in data["dims"])
-        pairs = data["matrix"]
+        mat = linalg.pairs_to_matrix(data["matrix"], d_a * d_b, d_a * d_b)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDensityMatrix(f"malformed state object: {exc}") from exc
-    dim = d_a * d_b
-    mat = linalg.pairs_to_matrix(pairs, dim, dim)
     return DensityMatrix(mat, (d_a, d_b))
 
 

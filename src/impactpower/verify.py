@@ -69,7 +69,12 @@ SIZES = {
 _ARGMAX_GRID = 512
 
 
-def _map_indexed(fn, n: int, threads: int) -> list:
+def map_indexed(fn, n: int, threads: int) -> list:
+    """[fn(0), ..., fn(n - 1)], fanned out over ``threads`` worker threads.
+
+    Results are merged by index, so the list is the same for any thread
+    count as long as each item seeds its own RNG from its index.
+    """
     if threads <= 1 or n <= 1:
         return [fn(i) for i in range(n)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -77,7 +82,7 @@ def _map_indexed(fn, n: int, threads: int) -> list:
 
 
 def _check(name: str, check_id: int, seed: int, n: int, tol: float, fn, threads: int) -> dict:
-    errors = _map_indexed(fn, n, threads)
+    errors = map_indexed(fn, n, threads)
     worst = int(np.argmax(errors))
     worst_error = float(errors[worst])
     return {

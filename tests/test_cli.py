@@ -60,6 +60,35 @@ def test_compute_invalid_state_names_invariant(capsys, tmp_path):
     assert "trace" in err
 
 
+def test_compute_rejects_non_finite_inputs(capsys, tmp_path, werner_file):
+    mat = np.eye(4) / 4
+    mat[0, 0] = np.nan
+    nan_state = tmp_path / "nan_state.json"
+    nan_state.write_text(
+        json.dumps({"dims": [2, 2], "matrix": [[float(v), 0.0] for v in mat.ravel()]})
+    )
+    code, out, err = run(capsys, ["compute", str(nan_state)])
+    assert (code, out) == (2, "")
+    assert "finiteness" in err and "Traceback" not in err
+
+    nan_energy = tmp_path / "nan_energy.json"
+    nan_energy.write_text(
+        json.dumps(
+            {
+                "dA": 2,
+                "energies": [0.0, float("nan")],
+                "projectors": [
+                    [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                    [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                ],
+            }
+        )
+    )
+    code, out, err = run(capsys, ["compute", werner_file, "--hamiltonian", str(nan_energy)])
+    assert (code, out) == (2, "")
+    assert "non-finite" in err and "Traceback" not in err
+
+
 def test_compute_bell_with_hamiltonian(capsys, bell_file, z_hamiltonian_file):
     code, out, _ = run(
         capsys,

@@ -35,6 +35,12 @@ def test_hamiltonian_validation():
         dynamics.LocalHamiltonian(np.array([1.0]), (0.5 * np.eye(2, dtype=complex),))
     with pytest.raises(DimensionMismatch):
         dynamics.LocalHamiltonian(np.array([0.0, 1.0]), (np.eye(2, dtype=complex),))
+    # a NaN energy used to pass and give werner(0) a finite impact power
+    with pytest.raises(InvalidHamiltonian, match="non-finite"):
+        dynamics.LocalHamiltonian(np.array([0.0, np.nan]), DIAG_QUBIT.projectors)
+    with pytest.raises(InvalidHamiltonian, match="non-finite"):
+        nan_projector = np.diag([1.0, np.nan]).astype(complex)
+        dynamics.LocalHamiltonian(np.array([0.0, 1.0]), (nan_projector, DIAG_QUBIT.projectors[1]))
 
 
 def test_from_matrix_reconstructs(rng):
@@ -64,6 +70,10 @@ def test_from_bloch_axis_matrix():
     assert np.allclose(ham.matrix(), np.diag([1.0, -1.0]), atol=1e-14)
     with pytest.raises(OutOfRange):
         dynamics.LocalHamiltonian.from_bloch_axis([0.0, 0.0, 0.0], 1.0)
+    with pytest.raises(OutOfRange, match="non-finite"):
+        dynamics.LocalHamiltonian.from_bloch_axis([0.0, 0.0, 1.0], math.nan)
+    with pytest.raises(OutOfRange, match="non-finite"):
+        dynamics.LocalHamiltonian.from_bloch_axis([0.0, math.inf, 1.0], 1.0)
 
 
 def test_evolve_identity_cases():
@@ -263,3 +273,7 @@ def test_hamiltonian_bloch_shorthand(tmp_path):
 def test_hamiltonian_from_dict_rejects_malformed():
     with pytest.raises(InvalidHamiltonian):
         dynamics.hamiltonian_from_dict({"dA": 2})
+    with pytest.raises(InvalidHamiltonian, match="malformed"):
+        dynamics.hamiltonian_from_dict(
+            {"dA": 2, "energies": "ab", "projectors": [linalg.matrix_to_pairs(np.eye(2))]}
+        )

@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 
 from impactpower import linalg
-from impactpower.errors import DimensionMismatch, NotHermitian
+from impactpower.errors import DimensionMismatch, ImpactPowerError, NoConvergence, NotHermitian
 
 from conftest import random_density, random_hermitian
 
 I2 = np.eye(2, dtype=complex)
 
 
-def test_tensor_identities():
+def test_tensor_identities(rng):
     assert np.array_equal(linalg.tensor(I2, I2), np.eye(4))
     assert np.array_equal(linalg.tensor(linalg.SIGMA_Z, I2), np.diag([1.0, 1.0, -1.0, -1.0]))
+    # np.kron is the reference: same products, so equal to the bit
+    for shape_a, shape_b in (((2, 2), (3, 3)), ((3, 2), (2, 4)), ((1, 3), (2, 1))):
+        a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+        b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+        assert np.array_equal(linalg.tensor(a, b), np.kron(a, b))
+        assert np.array_equal(linalg.tensor(a, np.eye(3)), np.kron(a, np.eye(3)))
 
 
 def test_tensor_double_bitflip():
@@ -111,6 +117,23 @@ def test_eigendecompose_degenerate_spectrum(rng):
 def test_eigendecompose_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         linalg.hermitian_eigendecompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # NaN compares false against any tolerance, so it needs its own check
+    for bad in (np.nan, np.inf):
+        for solve in (linalg.hermitian_eigendecompose, linalg.hermitian_eigenvalues):
+            with pytest.raises(ImpactPowerError, match="non-finite"):
+                solve(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+def test_solver_failure_raises_no_convergence(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NoConvergence):
+        linalg.hermitian_eigendecompose(linalg.SIGMA_Z)
+    with pytest.raises(NoConvergence):
+        linalg.hermitian_eigenvalues(linalg.SIGMA_Z)
 
 
 def test_eigendecompose_rejects_non_square():
@@ -126,6 +149,9 @@ def test_norms_on_sigma_z():
 def test_trace_norm_requires_hermitian():
     with pytest.raises(NotHermitian):
         linalg.trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for bad in (np.nan, -np.inf):
+        with pytest.raises(ImpactPowerError, match="non-finite"):
+            linalg.trace_norm(np.array([[bad, 0.0], [0.0, 1.0]]))
 
 
 def test_trace_norm_dominates_hs_for_traceless(rng):

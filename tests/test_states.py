@@ -33,6 +33,8 @@ def test_from_pure_random_is_rank_one(rng):
 
 
 def test_from_pure_rejects_unnormalized():
+    with pytest.raises(NotNormalized, match="non-finite"):
+        states.from_pure(np.array([1.0, 0.0, 0.0, np.nan]), (2, 2))
     with pytest.raises(NotNormalized):
         states.from_pure(np.array([1.0, 1.0, 0.0, 0.0]), (2, 2))
 
@@ -118,6 +120,18 @@ def test_classical_quantum_spec_validation():
             np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex),
             (np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex) / 2),
         )
+    with pytest.raises(OutOfRange, match="non-finite"):
+        states.ClassicalQuantumSpec(
+            np.array([0.5, np.nan]),
+            np.eye(2, dtype=complex),
+            (np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex) / 2),
+        )
+    with pytest.raises(OutOfRange, match="non-finite"):
+        states.ClassicalQuantumSpec(
+            np.array([0.5, 0.5]),
+            np.array([[1.0, 0.0], [0.0, np.nan]], dtype=complex),
+            (np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex) / 2),
+        )
 
 
 def test_isotropic_endpoints():
@@ -168,6 +182,8 @@ def test_random_state_deterministic():
 def test_random_state_rejects_bad_rank():
     with pytest.raises(OutOfRange):
         states.random_state((2, 2), rank=5, seed=0)
+    with pytest.raises(DimensionMismatch):
+        states.random_state((2, 0), seed=0)
 
 
 def test_bloch_decompose_maximally_mixed():
@@ -237,6 +253,11 @@ def test_density_matrix_validation_messages():
         states.DensityMatrix(np.diag([1.5, -0.5, 0.0, 0.0]), (2, 2))
     with pytest.raises(DimensionMismatch):
         states.DensityMatrix(np.eye(4) / 4, (2, 3))
+    for bad in (np.nan, np.inf):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[1, 2] = bad
+        with pytest.raises(InvalidDensityMatrix, match="finiteness"):
+            states.DensityMatrix(mat, (2, 2))
 
 
 def test_density_matrix_clamps_roundoff_negatives():
@@ -258,6 +279,8 @@ def test_state_json_roundtrip(tmp_path):
 def test_state_from_dict_rejects_malformed():
     with pytest.raises(InvalidDensityMatrix):
         states.state_from_dict({"matrix": []})
+    with pytest.raises(InvalidDensityMatrix, match="malformed"):
+        states.state_from_dict({"dims": [2, 2], "matrix": "x"})
 
 
 def test_state_file_validates(tmp_path):
