@@ -111,14 +111,10 @@ def _impact_profile(
 
 
 def _scan_row(param: str, rho: states.DensityMatrix) -> str:
-    p_min, p_max = correlations.p_extrema(rho)
-    discord = correlations.geometric_discord(rho)[0]
-    if rho.dims == (2, 2):
-        check = correlations.purity_bound_check(rho)
-        bound_rhs, gap = check.rhs, check.rhs - check.lhs
-    else:
-        bound_rhs, gap = math.nan, math.nan
-    cells = [param] + [_fmt(v) for v in (rho.purity, p_min, p_max, discord, bound_rhs, gap)]
+    rep = correlations.report(rho)
+    bound_rhs = math.nan if rep.bound_rhs is None else rep.bound_rhs
+    values = (rep.purity, rep.p_min, rep.p_max, rep.discord, bound_rhs, bound_rhs - rep.p_min)
+    cells = [param] + [_fmt(v) for v in values]
     return ",".join(cells)
 
 

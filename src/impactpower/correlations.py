@@ -143,75 +143,71 @@ def p_extrema(rho: DensityMatrix) -> tuple[float, float]:
 # --- numeric discord for d_A > 2 -------------------------------------------
 
 
-def _measurement_objective(rho4: np.ndarray, purity: float, u: np.ndarray) -> float:
-    # distance ||rho - Phi(rho)||^2 for dephasing in the basis of u's columns;
-    # equals Tr[rho^2] minus the diagonal-block weight in the rotated frame
-    rot = np.einsum("ai,abcd,cj->ibjd", u.conj(), rho4, u)
-    diag_blocks = np.einsum("ibid->ibd", rot)
-    return purity - float(np.vdot(diag_blocks, diag_blocks).real)
+#: sweep cap per start; every sweep lowers the distance, so stopping early
+#: still leaves a valid upper bound
+_MAX_SWEEPS = 1000
+#: a pair is rotated only when its criterion gain exceeds this share of G's top
+#: eigenvalue, i.e. more than eigensolver round-off
+_GAIN_ROUNDOFF = 1e-13
 
 
-def _column_rotation(u: np.ndarray, p: int, q: int, theta: float, imag: bool) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    out = u.copy()
-    if imag:
-        out[:, p] = c * u[:, p] - 1j * s * u[:, q]
-        out[:, q] = -1j * s * u[:, p] + c * u[:, q]
-    else:
-        out[:, p] = c * u[:, p] + s * u[:, q]
-        out[:, q] = -s * u[:, p] + c * u[:, q]
-    return out
-
-
-def _refine_measurement(
-    rho4: np.ndarray,
-    purity: float,
-    u: np.ndarray,
-    step0: float,
-    step_min: float,
-) -> tuple[float, np.ndarray]:
-    d = u.shape[0]
-    best = _measurement_objective(rho4, purity, u)
-    step = step0
-    while step > step_min:
-        improved = False
+def _joint_diagonal_weight(a: np.ndarray) -> float:
+    # Jacobi-angle sweeps over the stack a (K x d x d), rotated in place;
+    # returns sum_k sum_i |a_kii|^2 at the end.  For each pair (p, q),
+    # sum_k |a_kpp - a_kqq|^2 after a rotation is v^T G v for a unit v in R^3
+    # (v = e_0 for no rotation), so the top eigenvector of G gives the best one.
+    d = a.shape[1]
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
         for p in range(d - 1):
             for q in range(p + 1, d):
-                for imag in (False, True):
-                    for theta in (step, -step):
-                        cand = _column_rotation(u, p, q, theta, imag)
-                        val = _measurement_objective(rho4, purity, cand)
-                        if val < best - 1e-18:
-                            u, best = cand, val
-                            improved = True
-        if not improved:
-            step *= 0.5
-    return best, u
+                app, apq, aqp, aqq = a[:, p, p], a[:, p, q], a[:, q, p], a[:, q, q]
+                h = np.array([app - aqq, apq + aqp, 1j * (aqp - apq)])
+                g = (h @ h.conj().T).real
+                vals, vecs = np.linalg.eigh(g)
+                if vals[-1] - g[0, 0] <= _GAIN_ROUNDOFF * vals[-1]:
+                    continue
+                x, y, z = vecs[:, -1] * math.copysign(1.0, vecs[0, -1])
+                c = math.sqrt((1.0 + x) / 2.0)
+                s = (y - 1j * z) / math.sqrt(2.0 * (1.0 + x))
+                rot = np.array([[c, -s.conjugate()], [s, c]])
+                a[:, [p, q], :] = rot.conj().T @ a[:, [p, q], :]
+                a[:, :, [p, q]] = a[:, :, [p, q]] @ rot
+                rotated = True
+        if not rotated:
+            break
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    return float(np.vdot(diag, diag).real)
 
 
 def measurement_min_discord(
     rho: DensityMatrix,
     starts: int = 12,
     seed: int | np.random.Generator | None = 0,
-    step_min: float = 1e-8,
 ) -> float:
     """Minimize ||rho - Phi(rho)||^2 over rank-one projective measurements on A.
 
-    Random multistart over Haar bases plus Givens-rotation coordinate descent.
-    The result is an upper bound on the distance that tightens with more
-    starts; for d_A = 2 it reproduces the closed form.
+    For a measurement basis given by the columns of U the distance is
+    Tr[rho^2] - sum_i sum_{b,d} |(U^+ R_bd U)_ii|^2 over the d_B^2 blocks
+    R_bd = <.b|rho|.d>, a joint-diagonalization criterion.  From the
+    identity and starts - 1 Haar bases, Jacobi-angle sweeps (Cardoso &
+    Souloumiac, SIAM J. Matrix Anal. Appl. 17, 161, 1996) apply the optimal
+    complex Givens rotation to one pair of basis vectors at a time until no
+    pair improves.  The result is an upper bound on the distance that
+    tightens with more starts; for d_A = 2 it reproduces the closed form.
     """
     rng = np.random.default_rng(seed)
     d_a = rho.d_a
     rho4 = rho.mat.reshape(d_a, rho.d_b, d_a, rho.d_b)
-    purity = rho.purity
     unitaries = [np.eye(d_a, dtype=complex)]
     unitaries += [linalg.haar_unitary(d_a, rng) for _ in range(max(starts - 1, 0))]
-    best = math.inf
-    for u in unitaries:
-        val, _ = _refine_measurement(rho4, purity, u, step0=0.5, step_min=step_min)
-        best = min(best, val)
-    return max(best, 0.0)
+    weight = max(
+        _joint_diagonal_weight(
+            np.einsum("ai,abcd,cj->bdij", u.conj(), rho4, u).reshape(-1, d_a, d_a)
+        )
+        for u in unitaries
+    )
+    return max(rho.purity - weight, 0.0)
 
 
 def geometric_discord(
@@ -222,7 +218,8 @@ def geometric_discord(
     """Geometric discord of rho with respect to measurements on A.
 
     Qubit A: exact, p_min/2 from the M-matrix ("closed-form").  Larger A:
-    numeric von Neumann measurement minimization ("numeric"), an upper bound.
+    von Neumann measurement minimization by Jacobi-angle sweeps
+    (``measurement_min_discord``, "numeric"), an upper bound.
     """
     if rho.d_a == 2:
         return p_extrema(rho)[0] / 2.0, "closed-form"
@@ -241,21 +238,21 @@ def k_matrix(rho: DensityMatrix) -> KMatrix:
 
 def k_matrix_discord(rho: DensityMatrix) -> float:
     """Two-qubit discord (1/4)(|x|^2 + |T|^2 - k_max) from Bloch data alone."""
-    if rho.dims != (2, 2):
-        raise DimensionMismatch(f"k_matrix_discord requires dims (2, 2), got {rho.dims}")
-    b = bloch_decompose(rho)
     km = k_matrix(rho)
-    norms = float(b.x @ b.x) + float(np.sum(b.t * b.t))
-    return 0.25 * (norms - km.k_max)
+    # Tr K = |x|^2 + |T|_F^2
+    return 0.25 * (float(np.trace(km.k)) - km.k_max)
 
 
 def purity_bound_check(rho: DensityMatrix) -> BoundCheck:
     """Evaluate p_min <= (4/3) Tr[rho^2] - 1/3 for a two-qubit state."""
     if rho.dims != (2, 2):
         raise DimensionMismatch(f"purity bound requires dims (2, 2), got {rho.dims}")
-    lhs = p_extrema(rho)[0]
-    rhs = (4.0 / 3.0) * rho.purity - 1.0 / 3.0
-    return BoundCheck(lhs=lhs, rhs=rhs, saturates=abs(lhs - rhs) <= SATURATION_TOL)
+    return _purity_bound(rho.purity, p_extrema(rho)[0])
+
+
+def _purity_bound(purity: float, p_min: float) -> BoundCheck:
+    rhs = (4.0 / 3.0) * purity - 1.0 / 3.0
+    return BoundCheck(lhs=p_min, rhs=rhs, saturates=abs(p_min - rhs) <= SATURATION_TOL)
 
 
 def general_dim_bound_check(
@@ -290,23 +287,18 @@ def report(
     purity = rho.purity
     if rho.d_a == 2:
         p_min, p_max = p_extrema(rho)
-        discord = p_min / 2.0
-        method = "closed-form"
+        bound_rhs: float | None = None
+        saturates: bool | None = None
         if rho.d_b == 2:
-            check = purity_bound_check(rho)
-            bound_rhs: float | None = check.rhs
-            saturates: bool | None = check.saturates
-        else:
-            bound_rhs = None
-            saturates = None
+            _, bound_rhs, saturates = _purity_bound(purity, p_min)
         return CorrelationReport(
             purity=purity,
             p_min=p_min,
             p_max=p_max,
-            discord=discord,
+            discord=p_min / 2.0,
             bound_rhs=bound_rhs,
             saturates_bound=saturates,
-            method=method,
+            method="closed-form",
         )
     discord, method = geometric_discord(rho, starts=starts, seed=seed)
     return CorrelationReport(

@@ -121,16 +121,8 @@ class LocalHamiltonian:
         """Spectral decomposition of a Hermitian matrix, merging close eigenvalues."""
         h = np.asarray(h, dtype=complex)
         eig = linalg.hermitian_eigendecompose(h, tol=tol)
-        gap_tol = GAP_TOL_SCALE * max(float(np.max(np.abs(eig.eigenvalues))), 0.0)
-        energies: list[float] = []
-        projectors: list[np.ndarray] = []
-        for val, vec in zip(eig.eigenvalues, eig.eigenvectors.T):
-            if energies and val - energies[-1] <= gap_tol:
-                projectors[-1] = projectors[-1] + np.outer(vec, vec.conj())
-            else:
-                energies.append(float(val))
-                projectors.append(np.outer(vec, vec.conj()))
-        return cls(np.array(energies), tuple(projectors))
+        rank_one = tuple(np.outer(vec, vec.conj()) for vec in eig.eigenvectors.T)
+        return cls(*cls(eig.eigenvalues, rank_one).distinct_levels())
 
     @classmethod
     def from_bloch_axis(cls, axis, gap: float) -> "LocalHamiltonian":

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impactpower import correlations, dynamics, linalg, states
 from impactpower.errors import DegenerateHamiltonian, DimensionMismatch
@@ -135,6 +137,36 @@ def test_measurement_min_discord_qutrit_cq_is_zero(rng):
     value, method = correlations.geometric_discord(omega, starts=8, seed=1)
     assert method == "numeric"
     assert value <= 1e-9
+
+
+def test_measurement_min_discord_embedded_qubit_matches_closed_form():
+    # a qubit-A state placed on |0>, |1> of a qutrit A keeps its discord
+    for i in range(6):
+        d_b = 2 + i % 2
+        q = states.random_state((2, d_b), rank=1 + i % (2 * d_b), seed=[11, i])
+        blocks = np.zeros((3, d_b, 3, d_b), dtype=complex)
+        blocks[:2, :, :2, :] = q.mat.reshape(2, d_b, 2, d_b)
+        embedded = states.DensityMatrix(blocks.reshape(3 * d_b, 3 * d_b), (3, d_b))
+        value = correlations.measurement_min_discord(embedded)
+        assert abs(value - correlations.p_extrema(q)[0] / 2.0) <= 1e-9
+
+
+def test_measurement_min_discord_maximally_mixed_qutrit():
+    # every basis dephases Id/6 to itself, so each pair gain is 0 from the start
+    value = correlations.measurement_min_discord(states.DensityMatrix(np.eye(6) / 6, (3, 2)))
+    assert 0.0 <= value <= 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), rank=st.integers(min_value=1, max_value=6))
+def test_measurement_min_discord_local_unitary_invariance(seed, rank):
+    rng = np.random.default_rng(seed)
+    rho = states.random_state((3, 2), rank=rank, seed=rng)
+    u = linalg.tensor(linalg.haar_unitary(3, rng), linalg.haar_unitary(2, rng))
+    rotated = states.DensityMatrix(u @ rho.mat @ u.conj().T, (3, 2))
+    assert abs(
+        correlations.measurement_min_discord(rho) - correlations.measurement_min_discord(rotated)
+    ) <= 1e-9
 
 
 def test_k_matrix_examples():
