@@ -159,6 +159,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    timings: list[dict] = []
     try:
         summary = verify.run_suite(
             args.suite,
@@ -166,9 +167,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             budget=args.budget,
             threads=args.threads,
             inject_state=args.inject_state,
+            timings=timings,
         )
     except ImpactPowerError as exc:
         return _fail(str(exc))
+    if args.timings:
+        try:
+            with open(args.timings, "w", encoding="utf-8") as fh:
+                json.dump({"checks": timings}, fh, indent=2)
+        except OSError as exc:
+            return _fail(f"cannot write timings file {args.timings!r}: {exc}")
     _print_json(summary)
     if summary["all_passed"]:
         return 0
@@ -232,6 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=_default_seed())
     ver.add_argument("--budget", default="quick", choices=["quick", "full"])
     ver.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    ver.add_argument(
+        "--timings",
+        help="write each check's name, item count and elapsed_s to this JSON file",
+    )
     ver.add_argument("--inject-state", help=argparse.SUPPRESS)
     ver.set_defaults(func=cmd_verify)
 

@@ -32,6 +32,27 @@ GRID_POINTS = 100_000
 TIME_REFINE_TOL = 1e-12
 
 
+def _gap_tol(energies: np.ndarray) -> float:
+    scale = float(np.max(np.abs(energies)))
+    return GAP_TOL_SCALE * scale if scale > 0.0 else 0.0
+
+
+def _merge_levels(
+    energies: np.ndarray, projectors: tuple[np.ndarray, ...], gap_tol: float
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """Energies merged within ``gap_tol``, with summed projectors, ascending."""
+    merged_e: list[float] = []
+    merged_p: list[np.ndarray] = []
+    for idx in np.argsort(energies, kind="stable"):
+        e = float(energies[idx])
+        if merged_e and e - merged_e[-1] <= gap_tol:
+            merged_p[-1] = merged_p[-1] + projectors[idx]
+        else:
+            merged_e.append(e)
+            merged_p.append(projectors[idx].copy())
+    return np.array(merged_e), tuple(merged_p)
+
+
 @dataclass(frozen=True, eq=False)
 class LocalHamiltonian:
     """Hermitian operator on A stored as energies plus orthogonal projectors."""
@@ -77,8 +98,7 @@ class LocalHamiltonian:
 
     @property
     def gap_tol(self) -> float:
-        scale = float(np.max(np.abs(self.energies)))
-        return GAP_TOL_SCALE * scale if scale > 0.0 else 0.0
+        return _gap_tol(self.energies)
 
     @property
     def nondegenerate(self) -> bool:
@@ -90,17 +110,7 @@ class LocalHamiltonian:
 
     def distinct_levels(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
         """Energies merged within gap_tol, with summed projectors, ascending."""
-        order = np.argsort(self.energies, kind="stable")
-        merged_e: list[float] = []
-        merged_p: list[np.ndarray] = []
-        for idx in order:
-            e = float(self.energies[idx])
-            if merged_e and e - merged_e[-1] <= self.gap_tol:
-                merged_p[-1] = merged_p[-1] + self.projectors[idx]
-            else:
-                merged_e.append(e)
-                merged_p.append(self.projectors[idx].copy())
-        return np.array(merged_e), tuple(merged_p)
+        return _merge_levels(self.energies, self.projectors, self.gap_tol)
 
     @property
     def trivial(self) -> bool:
@@ -122,7 +132,7 @@ class LocalHamiltonian:
         h = np.asarray(h, dtype=complex)
         eig = linalg.hermitian_eigendecompose(h, tol=tol)
         rank_one = tuple(np.outer(vec, vec.conj()) for vec in eig.eigenvectors.T)
-        return cls(*cls(eig.eigenvalues, rank_one).distinct_levels())
+        return cls(*_merge_levels(eig.eigenvalues, rank_one, _gap_tol(eig.eigenvalues)))
 
     @classmethod
     def from_bloch_axis(cls, axis, gap: float) -> "LocalHamiltonian":

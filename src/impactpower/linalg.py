@@ -44,14 +44,16 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices with A-major index ordering.
 
-    Equal entry for entry to ``np.kron``; its general-rank bookkeeping costs
-    several times the products themselves on these small operands, and the
-    oracles call this once or more per trial axis.
+    Either operand may be a ``(..., m, n)`` stack; leading axes broadcast and
+    each matrix of the result is the product of the matching pair.  Equal
+    entry for entry to ``np.kron``; its general-rank bookkeeping costs several
+    times the products themselves on these small operands.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
+    prod = a[..., None, :, None] * b[..., None, :, None, :]
+    shape = prod.shape
+    return prod.reshape(shape[:-4] + (shape[-4] * shape[-3], shape[-2] * shape[-1]))
 
 
 def _bipartite_view(a: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -75,15 +77,28 @@ def partial_trace_A(a: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return np.einsum("aiaj->ij", _bipartite_view(a, dims))
 
 
-def hs_norm_sq(a: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt (Frobenius) norm, sum of |a_ij|^2."""
+def hs_norm_sq(a: np.ndarray) -> float | np.ndarray:
+    """Squared Hilbert-Schmidt (Frobenius) norm, sum of |a_ij|^2.
+
+    A ``(..., m, n)`` stack gives one norm per matrix, each equal to the bit
+    to the norm of that matrix alone.
+    """
     a = np.asarray(a)
-    return float(np.vdot(a, a).real)
+    if a.ndim <= 2:
+        return float(np.vdot(a, a).real)
+    flat = a.reshape(a.shape[:-2] + (-1,))
+    return np.vecdot(flat, flat).real
 
 
-def trace_norm(a: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
-    """Trace norm of a Hermitian matrix, the sum of |eigenvalue|."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(a, tol=tol))))
+def trace_norm(a: np.ndarray, tol: float = HERMITICITY_TOL) -> float | np.ndarray:
+    """Trace norm of a Hermitian matrix, the sum of |eigenvalue|.
+
+    A ``(..., n, n)`` stack gives one norm per matrix.
+    """
+    magnitudes = np.abs(hermitian_eigenvalues(a, tol=tol))
+    if magnitudes.ndim == 1:
+        return float(np.sum(magnitudes))
+    return np.sum(magnitudes, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,7 +126,11 @@ def hermitian_eigendecompose(a: np.ndarray, tol: float = HERMITICITY_TOL) -> Her
 
 
 def hermitian_eigenvalues(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix (no eigenvectors)."""
+    """Ascending eigenvalues of a Hermitian matrix (no eigenvectors).
+
+    A ``(..., n, n)`` stack gives ``(..., n)`` eigenvalues after the same
+    checks on every matrix; each row equals the call on that matrix alone.
+    """
     return _lapack(np.linalg.eigvalsh, _checked_hermitian_part(a, tol))
 
 
@@ -124,16 +143,17 @@ def _lapack(solver, work: np.ndarray):
 
 def _checked_hermitian_part(a: np.ndarray, tol: float) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ImpactPowerError("matrix has non-finite entries (NaN or inf)")
-    dev = float(np.max(np.abs(a - a.conj().T)))
+    a_dag = a.conj().swapaxes(-1, -2)
+    dev = float(np.abs(a - a_dag).max())
     if dev > tol:
         raise NotHermitian(
             f"matrix is not Hermitian: max |A - A^dagger| = {dev:.3e} exceeds {tol:.1e}"
         )
-    return (a + a.conj().T) / 2.0
+    return (a + a_dag) / 2.0
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -11,6 +11,7 @@ results are merged by index.
 from __future__ import annotations
 
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -67,6 +68,9 @@ SIZES = {
 }
 
 _ARGMAX_GRID = 512
+#: key under which a check carries its wall time until run_suite moves it out
+#: of the summary, which must not vary from run to run
+_ELAPSED = "elapsed_s"
 
 
 def map_indexed(fn, n: int, threads: int) -> list:
@@ -82,7 +86,9 @@ def map_indexed(fn, n: int, threads: int) -> list:
 
 
 def _check(name: str, check_id: int, seed: int, n: int, tol: float, fn, threads: int) -> dict:
+    start = time.perf_counter()
     errors = map_indexed(fn, n, threads)
+    elapsed = time.perf_counter() - start
     worst = int(np.argmax(errors))
     worst_error = float(errors[worst])
     return {
@@ -94,6 +100,7 @@ def _check(name: str, check_id: int, seed: int, n: int, tol: float, fn, threads:
         "worst_index": worst,
         "replay_seed": [seed, check_id, worst],
         "passed": bool(worst_error <= tol),
+        _ELAPSED: elapsed,
     }
 
 
@@ -350,8 +357,13 @@ def run_suite(
     budget: str = "quick",
     threads: int = 1,
     inject_state: str | None = None,
+    timings: list | None = None,
 ) -> dict:
-    """Run one named suite (or "all") and return the machine-readable summary."""
+    """Run one named suite (or "all") and return the machine-readable summary.
+
+    If ``timings`` is a list, one ``{"name", "items", "elapsed_s"}`` record
+    per timed check is appended to it; the summary itself holds no timings.
+    """
     if budget not in SIZES:
         raise ImpactPowerError(f"unknown budget {budget!r}")
     names = SUITES if suite == "all" else (suite,)
@@ -362,6 +374,10 @@ def run_suite(
     checks: list[dict] = []
     for name in names:
         checks.extend(_SUITE_RUNNERS[name](seed, sizes, threads))
+    for check in checks:
+        elapsed = check.pop(_ELAPSED)
+        if timings is not None:
+            timings.append({"name": check["name"], "items": check["items"], "elapsed_s": elapsed})
     if inject_state is not None:
         checks.append(_injected_state_check(inject_state))
     return {

@@ -182,6 +182,23 @@ def test_verify_summary_is_reproducible(capsys):
     assert first == second
 
 
+def test_verify_timings_go_to_a_side_file(capsys, tmp_path):
+    argv = ["verify", "--suite", "theorem3", "--budget", "quick", "--seed", "42"]
+    timings = tmp_path / "timings.json"
+    code, plain, _ = run(capsys, argv)
+    assert code == 0
+    code, timed, _ = run(capsys, argv + ["--timings", str(timings)])
+    assert code == 0
+    assert timed == plain
+    records = json.loads(timings.read_text())["checks"]
+    summary = json.loads(plain)["checks"]
+    assert [(r["name"], r["items"]) for r in records] == [(c["name"], c["items"]) for c in summary]
+    assert all(r["elapsed_s"] >= 0.0 for r in records)
+    code, _, err = run(capsys, argv + ["--timings", str(tmp_path / "missing" / "t.json")])
+    assert code == 2
+    assert "timings" in err
+
+
 def test_verify_injected_corruption_fails(capsys, tmp_path):
     bad = tmp_path / "corrupt.json"
     mat = np.eye(4) * 0.275

@@ -20,6 +20,20 @@ def test_tensor_identities(rng):
         assert np.array_equal(linalg.tensor(a, np.eye(3)), np.kron(a, np.eye(3)))
 
 
+def test_tensor_stacks_match_kron(rng):
+    a = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    b = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    stacked = linalg.tensor(a, b)
+    assert stacked.shape == (5, 6, 6)
+    for i in range(5):
+        assert np.array_equal(stacked[i], np.kron(a[i], b[i]))
+    # a single matrix on either side broadcasts against the stack
+    for i, block in enumerate(linalg.tensor(a, np.eye(3))):
+        assert np.array_equal(block, np.kron(a[i], np.eye(3)))
+    for i, block in enumerate(linalg.tensor(linalg.SIGMA_Y, b)):
+        assert np.array_equal(block, np.kron(linalg.SIGMA_Y, b[i]))
+
+
 def test_tensor_double_bitflip():
     ket00 = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
     ket11 = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
@@ -122,6 +136,38 @@ def test_eigendecompose_rejects_non_hermitian():
         for solve in (linalg.hermitian_eigendecompose, linalg.hermitian_eigenvalues):
             with pytest.raises(ImpactPowerError, match="non-finite"):
                 solve(np.array([[1.0, 0.0], [0.0, bad]]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_stacked_eigenvalues_and_norms_match_single_calls(rng, n):
+    stack = np.array([random_hermitian(rng, n) for _ in range(7)])
+    values = linalg.hermitian_eigenvalues(stack)
+    norms = linalg.hs_norm_sq(stack)
+    traces = linalg.trace_norm(stack)
+    assert values.shape == (7, n) and norms.shape == (7,) and traces.shape == (7,)
+    for i, a in enumerate(stack):
+        assert np.array_equal(values[i], linalg.hermitian_eigenvalues(a))
+        assert norms[i] == linalg.hs_norm_sq(a)
+        assert traces[i] == linalg.trace_norm(a)
+
+
+def test_stacked_eigenvalues_reject_one_bad_matrix(rng):
+    stack = np.array([random_hermitian(rng, 3) for _ in range(4)])
+    with_nan = stack.copy()
+    with_nan[2, 0, 1] = np.nan
+    with pytest.raises(ImpactPowerError, match="non-finite"):
+        linalg.hermitian_eigenvalues(with_nan)
+    with pytest.raises(ImpactPowerError, match="non-finite"):
+        linalg.hermitian_eigenvalues(with_nan[2])
+    skewed = stack.copy()
+    skewed[1, 0, 2] += 1e-6
+    with pytest.raises(NotHermitian) as stacked_error:
+        linalg.hermitian_eigenvalues(skewed)
+    with pytest.raises(NotHermitian) as single_error:
+        linalg.hermitian_eigenvalues(skewed[1])
+    assert str(stacked_error.value) == str(single_error.value)
+    with pytest.raises(DimensionMismatch):
+        linalg.hermitian_eigenvalues(np.zeros((4, 2, 3)))
 
 
 def test_solver_failure_raises_no_convergence(monkeypatch):

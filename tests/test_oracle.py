@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -119,6 +120,14 @@ def test_p_max_search_matches_closed_form(rng):
         assert abs(found.value - correlations.p_extrema(rho)[1]) <= 1e-7
 
 
+@pytest.mark.parametrize("d_b", [3, 4])
+def test_p_max_search_matches_closed_form_larger_b(rng, d_b):
+    for _ in range(2):
+        rho = states.random_state((2, d_b), seed=rng)
+        found = oracle.p_max_search(rho, samples=100, seed=rng, grid_points=12)
+        assert abs(found.value - correlations.p_extrema(rho)[1]) <= 1e-7
+
+
 def test_expm_evolve_identity_at_t0(rng):
     rho = states.random_state((2, 2), seed=rng)
     ham = dynamics.LocalHamiltonian.from_bloch_axis([0.0, 0.0, 1.0], 1.0)
@@ -185,6 +194,13 @@ def test_trace_probe_exceeds_hs_gap(rng):
         assert probe >= correlations.p_extrema(rho)[0] - 1e-10
 
 
+def test_trace_probe_exceeds_hs_gap_qubit_qutrit(rng):
+    for _ in range(3):
+        rho = states.random_state((2, 3), seed=rng)
+        probe = oracle.trace_p_min_probe(rho, samples=300, seed=rng)
+        assert probe >= correlations.p_extrema(rho)[0] - 1e-10
+
+
 def test_fibonacci_axes_unit_and_deterministic():
     axes = oracle.fibonacci_sphere_axes(100)
     assert np.max(np.abs(np.linalg.norm(axes, axis=1) - 1.0)) <= 1e-12
@@ -192,3 +208,105 @@ def test_fibonacci_axes_unit_and_deterministic():
     jittered2 = oracle.fibonacci_sphere_axes(100, seed=3, jitter=0.5)
     assert np.array_equal(jittered, jittered2)
     assert np.max(np.abs(np.linalg.norm(jittered, axis=1) - 1.0)) <= 1e-12
+
+
+# --- stacked search machinery --------------------------------------------------
+
+
+def _sequential_tangent_basis(axis):
+    helper = np.zeros(3)
+    helper[int(np.argmin(np.abs(axis)))] = 1.0
+    t1 = np.cross(axis, helper)
+    t1 /= np.linalg.norm(t1)
+    return t1, np.cross(axis, t1)
+
+
+def _sequential_refine_axis(objective, axis, minimize=True, step0=0.1, step_min=1e-8):
+    """Reference: the descent trying one candidate axis at a time.
+
+    The direction tuple is built once per round, so moves after an accepted
+    one rotate the new axis along the round's original tangent directions.
+    """
+    sign = 1.0 if minimize else -1.0
+    best = sign * objective(axis)
+    step = step0
+    while step > step_min:
+        improved = False
+        t1, t2 = _sequential_tangent_basis(axis)
+        for direction in (t1, -t1, t2, -t2):
+            cand = math.cos(step) * axis + math.sin(step) * direction
+            cand /= np.linalg.norm(cand)
+            val = sign * objective(cand)
+            if val < best - 1e-18:
+                axis, best = cand, val
+                improved = True
+                t1, t2 = _sequential_tangent_basis(axis)
+        if not improved:
+            step *= 0.5
+    return sign * best, axis
+
+
+def _sphere_bowl(axes):
+    # elementwise in the last axis, so one axis and a stack of axes share arithmetic
+    x, y, z = axes[..., 0], axes[..., 1], axes[..., 2]
+    return (x - 0.3) * (x - 0.3) + 2.0 * (y + 0.1) * (y + 0.1) + 0.5 * z + 0.1 * x * y
+
+
+@pytest.mark.parametrize("minimize", [True, False])
+def test_stacked_refine_matches_sequential_loop(minimize):
+    for start in oracle.fibonacci_sphere_axes(6, seed=1, jitter=0.5):
+        expected = _sequential_refine_axis(_sphere_bowl, start, minimize=minimize)
+        found = oracle._refine_axis(_sphere_bowl, start, minimize=minimize)
+        assert found[0] == expected[0]
+        assert np.array_equal(found[1], expected[1])
+        assert not np.array_equal(found[1], start)
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_stacked_kernels_match_per_axis(monkeypatch, chunk):
+    monkeypatch.setattr(oracle, "_CHUNK", chunk)
+    rho = states.random_state((2, 3), seed=11)
+    axes = oracle.fibonacci_sphere_axes(23, seed=4, jitter=0.5)
+    kernels = (
+        partial(oracle._dephasing_distances, rho),
+        partial(oracle._trace_impacts, rho),
+        lambda a: oracle._qubit_impact_powers(rho, a, 12),
+    )
+    for kernel in kernels:
+        stacked = oracle._chunked(kernel, axes)
+        single = np.array([kernel(axes[i : i + 1])[0] for i in range(len(axes))])
+        assert np.array_equal(stacked, single)
+
+
+def test_stacked_cq_distances_match_per_row(rng):
+    rho = states.random_state((2, 2), seed=rng)
+    axes = oracle.fibonacci_sphere_axes(9, seed=2, jitter=0.5)
+    # weights outside [0, 1] and Bloch vectors longer than 1 exercise the clamps
+    rests = np.column_stack([rng.uniform(-0.2, 1.2, 9), rng.uniform(-0.8, 0.8, (9, 6))])
+    pp = oracle._qubit_projectors(axes)[0]
+    stacked = oracle._cq_distances(rho.mat, pp, oracle._cq_blocks(rests))
+    for i in range(9):
+        single = oracle._cq_distances(rho.mat, pp[i], oracle._cq_blocks(rests[i]))
+        assert stacked[i] == single
+
+
+def test_searches_do_not_depend_on_chunking(monkeypatch):
+    rho = states.random_state((2, 3), seed=12)
+    qutrit = states.random_state((3, 2), seed=13)
+    ham = dynamics.LocalHamiltonian.from_matrix(np.diag([0.0, 1.0, 2.7]))
+    runs = []
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        p_min = oracle.p_min_search(rho, samples=50, seed=3)
+        p_max = oracle.p_max_search(rho, samples=20, seed=3, grid_points=12)
+        runs.append(
+            (
+                p_min.value,
+                *p_min.axis,
+                p_max.value,
+                *p_max.axis,
+                oracle.trace_p_min_probe(rho, samples=50, seed=3),
+                *oracle.impact_power_grid(qutrit, ham, grid_points=300),
+            )
+        )
+    assert runs[0] == runs[1] == runs[2]
