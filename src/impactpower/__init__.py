@@ -47,6 +47,7 @@ from .states import (
     phi_plus,
     random_cq_spec,
     random_state,
+    random_states,
     save_state,
     state_from_dict,
     state_to_dict,
@@ -83,7 +84,9 @@ from .correlations import (
     m_matrix,
     measurement_min_discord,
     p_extrema,
+    p_extrema_stack,
     purity_bound_check,
+    purity_bound_rhs,
     report,
 )
 from .oracle import (

@@ -89,18 +89,55 @@ def _require_qubit_a(rho: DensityMatrix, what: str) -> None:
         raise DimensionMismatch(f"{what} requires d_A = 2, got d_A = {rho.d_a}")
 
 
+#: upper-triangle index pairs (i <= j) of the symmetric 3x3 M
+_M_ROWS, _M_COLS = np.triu_indices(3)
+
+
+def _m_stack(mats: np.ndarray, d_b: int) -> tuple[np.ndarray, linalg.HermitianEig]:
+    # M and its spectrum for every matrix of an (N, 2 d_B, 2 d_B) stack, from
+    # one stacked product and one stacked eigh.  With X_i = rho (sigma_i (x) 1),
+    # M_ij sums the entries of X_i * X_j^T of one matrix in row-major order,
+    # so a matrix gets the same M alone or in any stack.
+    sig = linalg.tensor(np.stack(linalg.PAULIS), np.eye(d_b, dtype=complex))
+    x = mats[:, None] @ sig
+    prod = x[:, _M_ROWS] * x[:, _M_COLS].swapaxes(-1, -2)
+    entries = prod.reshape(prod.shape[:2] + (-1,)).sum(axis=-1).real
+    m = np.empty((mats.shape[0], 3, 3))
+    m[:, _M_ROWS, _M_COLS] = entries
+    m[:, _M_COLS, _M_ROWS] = entries
+    return m, linalg.hermitian_eigendecompose(m.astype(complex))
+
+
 def m_matrix(rho: DensityMatrix) -> MMatrix:
     """The 3x3 impact-power quadratic form for qubit A (any d_B)."""
     _require_qubit_a(rho, "m_matrix")
-    eye_b = np.eye(rho.d_b, dtype=complex)
-    x = [rho.mat @ linalg.tensor(s, eye_b) for s in linalg.PAULIS]
-    m = np.empty((3, 3))
-    for i in range(3):
-        for j in range(i, 3):
-            val = complex(np.sum(x[i] * x[j].T))
-            m[i, j] = m[j, i] = val.real
-    eig = linalg.hermitian_eigendecompose(m.astype(complex))
-    return MMatrix(m=m, eigenvalues=eig.eigenvalues, eigenvectors=eig.eigenvectors.real)
+    m, eig = _m_stack(rho.mat[None], rho.d_b)
+    return MMatrix(m=m[0], eigenvalues=eig.eigenvalues[0], eigenvectors=eig.eigenvectors[0].real)
+
+
+def p_extrema_stack(mats: np.ndarray, d_b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(purity, p_min, p_max) arrays for an ``(N, 2 d_B, 2 d_B)`` stack of qubit-A states.
+
+    The matrices must already be validated density operators.  Row k equals
+    ``p_extrema`` of matrix k alone, to the bit.
+    """
+    mats = np.asarray(mats, dtype=complex)
+    dim = 2 * int(d_b)
+    if mats.ndim != 3 or mats.shape[1:] != (dim, dim):
+        raise DimensionMismatch(
+            f"p_extrema_stack needs an (N, {dim}, {dim}) stack for d_A = 2, d_B = {d_b}, "
+            f"got shape {mats.shape}"
+        )
+    _, eig = _m_stack(mats, int(d_b))
+    purity = linalg.hs_norm_sq(mats)
+    p_min = _zero_roundoff(purity - eig.eigenvalues[:, -1])
+    p_max = _zero_roundoff(purity - eig.eigenvalues[:, 0])
+    return purity, p_min, p_max
+
+
+def _zero_roundoff(p: np.ndarray) -> np.ndarray:
+    # values in [-1e-10, 0) are eigensolver round-off of a zero impact power
+    return np.where((p >= -1e-10) & (p < 0.0), 0.0, p)
 
 
 def _canonical_axis(vec: np.ndarray) -> np.ndarray:
@@ -129,15 +166,9 @@ def extremal_axes(mm: MMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def p_extrema(rho: DensityMatrix) -> tuple[float, float]:
     """(p_min, p_max) for qubit A: purity minus the extreme eigenvalues of M."""
-    mm = m_matrix(rho)
-    purity = rho.purity
-    p_min = purity - float(mm.eigenvalues[-1])
-    p_max = purity - float(mm.eigenvalues[0])
-    if -1e-10 <= p_min < 0.0:
-        p_min = 0.0
-    if -1e-10 <= p_max < 0.0:
-        p_max = 0.0
-    return p_min, p_max
+    _require_qubit_a(rho, "m_matrix")
+    _, p_min, p_max = p_extrema_stack(rho.mat[None], rho.d_b)
+    return float(p_min[0]), float(p_max[0])
 
 
 # --- numeric discord for d_A > 2 -------------------------------------------
@@ -250,8 +281,13 @@ def purity_bound_check(rho: DensityMatrix) -> BoundCheck:
     return _purity_bound(rho.purity, p_extrema(rho)[0])
 
 
+def purity_bound_rhs(purity: float | np.ndarray) -> float | np.ndarray:
+    """(4/3) Tr[rho^2] - 1/3, the two-qubit purity bound on p_min; elementwise on arrays."""
+    return (4.0 / 3.0) * purity - 1.0 / 3.0
+
+
 def _purity_bound(purity: float, p_min: float) -> BoundCheck:
-    rhs = (4.0 / 3.0) * purity - 1.0 / 3.0
+    rhs = purity_bound_rhs(purity)
     return BoundCheck(lhs=p_min, rhs=rhs, saturates=abs(p_min - rhs) <= SATURATION_TOL)
 
 

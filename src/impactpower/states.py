@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -32,39 +33,64 @@ def _validated_density(mat: np.ndarray, dim: int) -> np.ndarray:
         raise DimensionMismatch(
             f"state matrix has shape {mat.shape}, expected {(dim, dim)}"
         )
-    if not np.all(np.isfinite(mat)):
+    return _validated_stack(mat[None], dim)[0]
+
+
+def _validated_stack(stack: np.ndarray, dim: int) -> np.ndarray:
+    # An (N, dim, dim) stack.  Each check runs on the whole stack before the
+    # next one, and a failure is reported for the first matrix that breaks it,
+    # with the message _validated_density gives for that matrix alone.
+    if not np.isfinite(stack).all():
         raise InvalidDensityMatrix("finiteness violated: rho has non-finite (NaN or inf) entries")
-    dev = float(np.max(np.abs(mat - mat.conj().T)))
-    if dev > linalg.HERMITICITY_TOL:
+    stack_dag = stack.conj().swapaxes(-1, -2)
+    dev = np.abs(stack - stack_dag)
+    if dev.max() > linalg.HERMITICITY_TOL:
+        dev = dev.max(axis=(-2, -1))
         raise InvalidDensityMatrix(
-            f"hermiticity violated: max |rho - rho^dagger| = {dev:.3e} "
-            f"> {linalg.HERMITICITY_TOL:.1e}"
+            f"hermiticity violated: max |rho - rho^dagger| = "
+            f"{_first(dev, dev > linalg.HERMITICITY_TOL):.3e} > {linalg.HERMITICITY_TOL:.1e}"
         )
-    mat = (mat + mat.conj().T) / 2.0
-    tr = float(np.trace(mat).real)
-    if abs(tr - 1.0) > TRACE_TOL:
+    stack = (stack + stack_dag) / 2.0
+    tr = _traces(stack)
+    tr_dev = np.abs(tr - 1.0)
+    if tr_dev.max() > TRACE_TOL:
         raise InvalidDensityMatrix(
-            f"trace invariant violated: Tr[rho] = {tr!r}, expected 1 within {TRACE_TOL:.1e}"
+            f"trace invariant violated: Tr[rho] = {_first(tr, tr_dev > TRACE_TOL)!r}, "
+            f"expected 1 within {TRACE_TOL:.1e}"
         )
-    mat = mat / tr
-    eig = linalg.hermitian_eigendecompose(mat)
-    smallest = float(eig.eigenvalues[0])
-    if smallest < EIGENVALUE_FLOOR:
+    stack = stack / tr[:, None, None]
+    # finite and exactly Hermitian by now, so LAPACK gets the stack as it is
+    eigenvalues, eigenvectors = linalg._lapack(np.linalg.eigh, stack)
+    smallest = eigenvalues[:, 0]
+    lowest = smallest.min()
+    if lowest < 0.0:
+        if lowest < EIGENVALUE_FLOOR:
+            raise InvalidDensityMatrix(
+                f"positivity violated: smallest eigenvalue "
+                f"{_first(smallest, smallest < EIGENVALUE_FLOOR):.3e} < {EIGENVALUE_FLOOR:.1e}"
+            )
+        clamp = smallest < 0.0
+        vals = np.maximum(eigenvalues[clamp], 0.0)
+        v = eigenvectors[clamp]
+        fixed = (v * vals[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        fixed = (fixed + fixed.conj().swapaxes(-1, -2)) / 2.0
+        stack[clamp] = fixed / _traces(fixed)[:, None, None]
+    purity = linalg.hs_norm_sq(stack)
+    if purity.min() < 1.0 / dim - 1e-9 or purity.max() > 1.0 + 1e-9:
+        bad = (purity < 1.0 / dim - 1e-9) | (purity > 1.0 + 1e-9)
         raise InvalidDensityMatrix(
-            f"positivity violated: smallest eigenvalue {smallest:.3e} < {EIGENVALUE_FLOOR:.1e}"
+            f"purity {_first(purity, bad)!r} outside [1/{dim} - 1e-9, 1 + 1e-9]"
         )
-    if smallest < 0.0:
-        vals = np.clip(eig.eigenvalues, 0.0, None)
-        v = eig.eigenvectors
-        mat = (v * vals) @ v.conj().T
-        mat = (mat + mat.conj().T) / 2.0
-        mat = mat / float(np.trace(mat).real)
-    purity = float(np.vdot(mat, mat).real)
-    if not (1.0 / dim - 1e-9 <= purity <= 1.0 + 1e-9):
-        raise InvalidDensityMatrix(
-            f"purity {purity!r} outside [1/{dim} - 1e-9, 1 + 1e-9]"
-        )
-    return mat
+    return stack
+
+
+def _first(values: np.ndarray, flags: np.ndarray) -> float:
+    return float(values[np.flatnonzero(flags)[0]])
+
+
+def _traces(stack: np.ndarray) -> np.ndarray:
+    # real part of the trace of each matrix, summed as np.trace sums one matrix
+    return stack.trace(axis1=-2, axis2=-1).real
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,6 +269,21 @@ def random_state(
     for a given seed.
     """
     d_a, d_b = int(dims[0]), int(dims[1])
+    return DensityMatrix(random_states(dims, rank, [seed])[0], (d_a, d_b), validate=False)
+
+
+def random_states(
+    dims: tuple[int, int],
+    rank: int | None,
+    seeds: Sequence[int | Sequence[int] | np.random.Generator | None],
+) -> np.ndarray:
+    """``(N, d, d)`` stack of validated random states, one per seed.
+
+    Matrix k is ``random_state(dims, rank, seeds[k]).mat`` to the bit: it is
+    drawn from its own ``default_rng(seeds[k])``, and the stack is validated
+    in one pass with the same checks as a single state.
+    """
+    d_a, d_b = int(dims[0]), int(dims[1])
     if d_a < 1 or d_b < 1:
         raise DimensionMismatch(f"subsystem dimensions must be >= 1, got {dims}")
     dim = d_a * d_b
@@ -250,11 +291,18 @@ def random_state(
         rank = dim
     if not 1 <= rank <= dim:
         raise OutOfRange(f"rank {rank} outside [1, {dim}]")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    mat = g @ g.conj().T
-    mat /= float(np.trace(mat).real)
-    return DensityMatrix(mat, (d_a, d_b))
+    if len(seeds) == 0:
+        return np.empty((0, dim, dim), dtype=complex)
+    re = np.empty((len(seeds), dim, rank))
+    im = np.empty_like(re)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(out=re[k])
+        rng.standard_normal(out=im[k])
+    g = re + 1j * im
+    mats = g @ g.conj().swapaxes(-1, -2)
+    mats /= _traces(mats)[:, None, None]
+    return _validated_stack(mats, dim)
 
 
 def random_cq_spec(

@@ -74,14 +74,15 @@ _ELAPSED = "elapsed_s"
 
 
 def map_indexed(fn, n: int, threads: int) -> list:
-    """[fn(0), ..., fn(n - 1)], fanned out over ``threads`` worker threads.
+    """[fn(0), ..., fn(n - 1)], fanned out over at most ``threads`` worker threads.
 
-    Results are merged by index, so the list is the same for any thread
-    count as long as each item seeds its own RNG from its index.
+    The pool never has more threads than items.  Results are merged by
+    index, so the list is the same for any thread count as long as each item
+    seeds its own RNG from its index.
     """
     if threads <= 1 or n <= 1:
         return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, n)) as pool:
         return list(pool.map(fn, range(n)))
 
 

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from impactpower import cli, states
+from impactpower import cli, correlations, states, verify
 
 
 @pytest.fixture
@@ -138,6 +139,78 @@ def test_scan_deterministic_and_thread_independent(capsys, tmp_path):
     code, second, _ = run(capsys, argv + ["--threads", "4"])
     assert code == 0
     assert first == second
+
+
+def _reference_row(param, rho):
+    # one row as the per-item scan built it: one state, one report
+    rep = correlations.report(rho)
+    bound_rhs = math.nan if rep.bound_rhs is None else rep.bound_rhs
+    values = (rep.purity, rep.p_min, rep.p_max, rep.discord, bound_rhs, bound_rhs - rep.p_min)
+    return ",".join([param] + [cli._fmt(v) for v in values])
+
+
+def _reference_csv(rows):
+    return "\n".join([cli.CSV_HEADER] + rows) + "\n"
+
+
+@pytest.mark.parametrize("dims,rank", [((2, 2), 4), ((2, 2), 2), ((2, 3), 1), ((2, 4), 2)])
+def test_scan_random_matches_per_item_reference(capsys, monkeypatch, dims, rank):
+    samples, seed = 30, 11
+    expected = _reference_csv(
+        [
+            _reference_row(str(i), states.random_state(dims, rank=rank, seed=[seed, i]))
+            for i in range(samples)
+        ]
+    )
+    argv = ["scan", "random", "--samples", str(samples), "--dims", f"{dims[0]}x{dims[1]}"]
+    argv += ["--rank", str(rank), "--seed", str(seed)]
+    for chunk in (1, 7, cli._SCAN_CHUNK):
+        monkeypatch.setattr(cli, "_SCAN_CHUNK", chunk)
+        for threads in ("1", "2"):
+            code, out, _ = run(capsys, argv + ["--threads", threads])
+            assert code == 0
+            assert out == expected, (chunk, threads)
+
+
+@pytest.mark.parametrize("family,make,lo", [("werner", states.werner, -1.0), ("isotropic", states.isotropic, 0.0)])
+def test_scan_families_match_per_item_reference(capsys, family, make, lo):
+    params = np.linspace(lo, 1.0, 21).tolist()
+    expected = _reference_csv([_reference_row(cli._fmt(p), make(p)) for p in params])
+    code, out, _ = run(capsys, ["scan", family, "--grid", "21"])
+    assert code == 0
+    assert out == expected
+
+
+def test_thread_pool_is_capped_at_the_work_count(capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor: records max_workers and starts no thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", RecordingPool)
+    assert verify.map_indexed(lambda i: i * i, 3, 5000) == [0, 1, 4]
+    assert verify.map_indexed(lambda i: i, 10, 4) == list(range(10))
+    assert sizes == [3, 4]
+    # a scan fans out batches of rows, so the pool never exceeds their count
+    samples = 2 * cli._SCAN_CHUNK + 1
+    code, out, _ = run(
+        capsys, ["scan", "random", "--samples", str(samples), "--seed", "2", "--threads", "5000"]
+    )
+    assert code == 0
+    assert len(out.split("\n")) == samples + 2
+    assert sizes == [3, 4, 3]
 
 
 def test_scan_writes_file_with_lf_endings(capsys, tmp_path):

@@ -169,6 +169,55 @@ def test_measurement_min_discord_local_unitary_invariance(seed, rank):
     ) <= 1e-9
 
 
+def _reference_p_extrema(rho):
+    # the per-state formula: M entry by entry from X_i = rho (sigma_i (x) 1)
+    eye_b = np.eye(rho.d_b, dtype=complex)
+    x = [rho.mat @ linalg.tensor(s, eye_b) for s in linalg.PAULIS]
+    m = np.empty((3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            m[i, j] = m[j, i] = complex(np.sum(x[i] * x[j].T)).real
+    vals = linalg.hermitian_eigendecompose(m.astype(complex)).eigenvalues
+    purity = float(np.vdot(rho.mat, rho.mat).real)
+    p_min, p_max = purity - float(vals[-1]), purity - float(vals[0])
+    if -1e-10 <= p_min < 0.0:
+        p_min = 0.0
+    if -1e-10 <= p_max < 0.0:
+        p_max = 0.0
+    return purity, p_min, p_max
+
+
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_p_extrema_stack_matches_single_states_bit_for_bit(d_b):
+    mats = np.concatenate(
+        [states.random_states((2, d_b), rank, [[d_b, rank, i] for i in range(20)]) for rank in (1, 2, 2 * d_b)]
+        + [states.DensityMatrix(np.eye(2 * d_b) / (2 * d_b), (2, d_b)).mat[None]]
+    )
+    purity, p_min, p_max = correlations.p_extrema_stack(mats, d_b)
+    for k, mat in enumerate(mats):
+        rho = states.DensityMatrix(mat, (2, d_b), validate=False)
+        stacked = np.array([purity[k], p_min[k], p_max[k]])
+        assert stacked.tobytes() == np.array(_reference_p_extrema(rho)).tobytes()
+        assert stacked[1:].tobytes() == np.array(correlations.p_extrema(rho)).tobytes()
+    with pytest.raises(DimensionMismatch):
+        correlations.p_extrema_stack(mats[0], d_b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    d_b=st.integers(min_value=2, max_value=4),
+    rank=st.integers(min_value=1, max_value=8),
+)
+def test_p_extrema_order_property(seed, d_b, rank):
+    # 0 <= p_min <= p_max <= Tr rho^2, with the scan checker's 1e-10 slack on the top
+    mats = states.random_states((2, d_b), min(rank, 2 * d_b), [[seed, i] for i in range(16)])
+    purity, p_min, p_max = correlations.p_extrema_stack(mats, d_b)
+    assert np.all(0.0 <= p_min)
+    assert np.all(p_min <= p_max)
+    assert np.all(p_max <= purity + 1e-10)
+
+
 def test_k_matrix_examples():
     assert abs(correlations.k_matrix_discord(states.DensityMatrix(np.eye(4) / 4, (2, 2)))) <= 1e-12
     assert abs(correlations.k_matrix_discord(bell_state()) - 0.5) <= 1e-12

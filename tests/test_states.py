@@ -186,6 +186,56 @@ def test_random_state_rejects_bad_rank():
         states.random_state((2, 0), seed=0)
 
 
+def _reference_draw(dims, rank, seed):
+    # the per-item draw: one Ginibre matrix from the seed's own stream
+    dim = dims[0] * dims[1]
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
+    mat = g @ g.conj().T
+    mat /= float(np.trace(mat).real)
+    return mat
+
+
+@pytest.mark.parametrize("dims,rank", [((2, 2), 4), ((2, 2), 2), ((2, 3), 1), ((2, 4), 2), ((3, 3), 4)])
+def test_random_states_match_single_states_bit_for_bit(dims, rank):
+    seeds = [[17, i] for i in range(40)]
+    stack = states.random_states(dims, rank, seeds)
+    assert stack.shape == (40, dims[0] * dims[1], dims[0] * dims[1])
+    clamped = 0
+    for mat, seed in zip(stack, seeds):
+        raw = _reference_draw(dims, rank, seed)
+        clamped += bool(np.linalg.eigvalsh(raw)[0] < 0.0)
+        assert mat.tobytes() == states.random_state(dims, rank=rank, seed=seed).mat.tobytes()
+        assert mat.tobytes() == states.DensityMatrix(raw, dims).mat.tobytes()
+    if rank < dims[0] * dims[1]:
+        # rank-deficient draws have round-off negative eigenvalues: the clamp branch ran
+        assert clamped > 0
+    assert states.random_states(dims, rank, []).shape == (0,) + stack.shape[1:]
+
+
+def _bad_two_qubit_matrices():
+    nan = np.eye(4, dtype=complex) / 4
+    nan[1, 2] = np.nan
+    non_hermitian = np.eye(4, dtype=complex) / 4
+    non_hermitian[0, 1] = 0.2
+    off_trace = np.eye(4, dtype=complex) / 4 * 1.1
+    negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    return [nan, non_hermitian, off_trace, negative]
+
+
+@pytest.mark.parametrize("position", [0, 3, 5])
+@pytest.mark.parametrize("bad", _bad_two_qubit_matrices(), ids=["nan", "hermiticity", "trace", "positivity"])
+def test_stacked_validation_reports_like_the_2d_call(bad, position):
+    with pytest.raises(InvalidDensityMatrix) as single:
+        states.DensityMatrix(bad, (2, 2))
+    good = states.random_states((2, 2), None, [[5, i] for i in range(5)])
+    stack = np.insert(good, position, bad, axis=0)
+    with pytest.raises(InvalidDensityMatrix) as stacked:
+        states._validated_stack(stack, 4)
+    assert type(stacked.value) is type(single.value)
+    assert str(stacked.value) == str(single.value)
+
+
 def test_bloch_decompose_maximally_mixed():
     b = states.bloch_decompose(states.DensityMatrix(np.eye(4) / 4, (2, 2)))
     assert np.allclose(b.x, 0) and np.allclose(b.y, 0) and np.allclose(b.t, 0)
