@@ -110,8 +110,7 @@ def _impact_profile(
 # --- scan ---------------------------------------------------------------------
 
 
-#: rows per batch of a random scan; bounds the stacks held at once, and the
-#: thread pool fans out batches, not rows
+#: rows per batch of a random scan; bounds the stacks held at once
 _SCAN_CHUNK = 256
 
 
@@ -151,14 +150,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
         rank = args.rank if args.rank else d_a * d_b
         if not 1 <= rank <= d_a * d_b:
             return _fail(f"--rank must lie in [1, {d_a * d_b}]")
-
-        def chunk(c: int) -> list[str]:
-            items = range(c * _SCAN_CHUNK, min((c + 1) * _SCAN_CHUNK, args.samples))
+        rows = []
+        for start in range(0, args.samples, _SCAN_CHUNK):
+            items = range(start, min(start + _SCAN_CHUNK, args.samples))
             mats = states.random_states((d_a, d_b), rank, [[args.seed, i] for i in items])
-            return _scan_rows([str(i) for i in items], mats, d_b)
-
-        n_chunks = -(-args.samples // _SCAN_CHUNK)
-        rows = [row for part in verify.map_indexed(chunk, n_chunks, args.threads) for row in part]
+            rows += _scan_rows([str(i) for i in items], mats, d_b)
 
     text = "\n".join([CSV_HEADER] + rows) + "\n"
     if args.out:
@@ -179,7 +175,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             args.suite,
             seed=args.seed,
             budget=args.budget,
-            threads=args.threads,
             inject_state=args.inject_state,
             timings=timings,
         )
@@ -241,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--dims", default="2x2", help="dims for random, like 2x2 or 2x3")
     scan.add_argument("--rank", type=int, default=0, help="rank for random (default full)")
     scan.add_argument("--seed", type=int, default=_default_seed())
-    scan.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    scan.add_argument("--threads", type=int, default=1, help="ignored: work runs serially")
     scan.add_argument("--out", help="write CSV here instead of stdout")
     scan.set_defaults(func=cmd_scan)
 
@@ -253,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ver.add_argument("--seed", type=int, default=_default_seed())
     ver.add_argument("--budget", default="quick", choices=["quick", "full"])
-    ver.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+    ver.add_argument("--threads", type=int, default=1, help="ignored: work runs serially")
     ver.add_argument(
         "--timings",
         help="write each check's name, item count and elapsed_s to this JSON file",

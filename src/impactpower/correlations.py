@@ -105,7 +105,9 @@ def _m_stack(mats: np.ndarray, d_b: int) -> tuple[np.ndarray, linalg.HermitianEi
     m = np.empty((mats.shape[0], 3, 3))
     m[:, _M_ROWS, _M_COLS] = entries
     m[:, _M_COLS, _M_ROWS] = entries
-    return m, linalg.hermitian_eigendecompose(m.astype(complex))
+    # finite and exactly symmetric by construction, so LAPACK gets M as it is
+    vals, vecs = linalg._lapack(np.linalg.eigh, m.astype(complex))
+    return m, linalg.HermitianEig(eigenvalues=vals, eigenvectors=vecs)
 
 
 def m_matrix(rho: DensityMatrix) -> MMatrix:

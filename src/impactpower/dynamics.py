@@ -198,33 +198,29 @@ def _check_dims(rho: DensityMatrix, h: LocalHamiltonian) -> None:
         )
 
 
-def _embedded_unitary(h: LocalHamiltonian, t: float, d_b: int) -> np.ndarray:
+def _evolved(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> np.ndarray:
+    # the matrix of rho(t) = U rho U^dagger with U = exp(-i H_A t) (x) 1_B
+    _check_dims(rho, h)
+    t = float(t)
     u_a = sum(np.exp(-1j * e * t) * p for e, p in zip(h.energies, h.projectors))
-    return linalg.tensor(u_a, np.eye(d_b, dtype=complex))
+    u = linalg.tensor(u_a, np.eye(rho.d_b, dtype=complex))
+    return u @ rho.mat @ u.conj().T
 
 
 def evolve(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> DensityMatrix:
     """Conjugate rho by exp(-i H_A t) (x) 1_B."""
-    _check_dims(rho, h)
-    u = _embedded_unitary(h, float(t), rho.d_b)
     # unitary conjugation preserves every density-matrix invariant
-    return DensityMatrix(u @ rho.mat @ u.conj().T, rho.dims, validate=False)
+    return DensityMatrix(_evolved(rho, h, t), rho.dims, validate=False)
 
 
 def impact(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> float:
     """Half the squared Hilbert-Schmidt distance between rho(t) and rho."""
-    _check_dims(rho, h)
-    u = _embedded_unitary(h, float(t), rho.d_b)
-    delta = u @ rho.mat @ u.conj().T - rho.mat
-    return 0.5 * linalg.hs_norm_sq(delta)
+    return 0.5 * linalg.hs_norm_sq(_evolved(rho, h, t) - rho.mat)
 
 
 def trace_impact(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> float:
     """Half the squared trace norm of rho(t) - rho; never below ``impact``."""
-    _check_dims(rho, h)
-    u = _embedded_unitary(h, float(t), rho.d_b)
-    delta = u @ rho.mat @ u.conj().T - rho.mat
-    return 0.5 * linalg.trace_norm(delta) ** 2
+    return 0.5 * linalg.trace_norm(_evolved(rho, h, t) - rho.mat) ** 2
 
 
 def _coefficients(rho: DensityMatrix, projectors) -> ImpactCoefficients:

@@ -2,17 +2,15 @@
 
 Each check draws a seeded ensemble, evaluates a closed form against its
 independent counterpart (or an inequality against its bound), and reports the
-worst error together with the index needed to replay it.  Items are seeded as
-default_rng([seed, check_id, index]), so results are identical for a given
-seed regardless of thread count; the thread pool only fans out the loop and
-results are merged by index.
+worst error together with the index needed to replay it.  Items run one
+after another and each is seeded as default_rng([seed, check_id, index]), so
+any item can be replayed on its own and a seed always gives the same summary.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -73,22 +71,9 @@ _ARGMAX_GRID = 512
 _ELAPSED = "elapsed_s"
 
 
-def map_indexed(fn, n: int, threads: int) -> list:
-    """[fn(0), ..., fn(n - 1)], fanned out over at most ``threads`` worker threads.
-
-    The pool never has more threads than items.  Results are merged by
-    index, so the list is the same for any thread count as long as each item
-    seeds its own RNG from its index.
-    """
-    if threads <= 1 or n <= 1:
-        return [fn(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=min(threads, n)) as pool:
-        return list(pool.map(fn, range(n)))
-
-
-def _check(name: str, check_id: int, seed: int, n: int, tol: float, fn, threads: int) -> dict:
+def _check(name: str, check_id: int, seed: int, n: int, tol: float, fn) -> dict:
     start = time.perf_counter()
-    errors = map_indexed(fn, n, threads)
+    errors = [fn(i) for i in range(n)]
     elapsed = time.perf_counter() - start
     worst = int(np.argmax(errors))
     worst_error = float(errors[worst])
@@ -138,7 +123,7 @@ def _random_product_pure(rng: np.random.Generator, d_b: int = 2) -> states.Densi
 # --- theorem 1: gap equals twice the geometric discord ----------------------
 
 
-def _suite_theorem1(seed: int, sizes: dict, threads: int) -> list[dict]:
+def _suite_theorem1(seed: int, sizes: dict) -> list[dict]:
     def axis_oracle(i: int) -> float:
         rng = _rng(seed, 11, i)
         dims = (2, 2) if i % 2 == 0 else (2, 3)
@@ -174,18 +159,18 @@ def _suite_theorem1(seed: int, sizes: dict, threads: int) -> list[dict]:
         return 5e-4 - correlations.p_extrema(rho)[0]
 
     return [
-        _check("pmin-vs-axis-oracle", 11, seed, sizes["axis_oracle_states"], 1e-8, axis_oracle, threads),
-        _check("pmin-vs-cq-set-oracle", 12, seed, sizes["cq_oracle_states"], 1e-6, cq_oracle, threads),
-        _check("cq-states-zero-discord", 13, seed, sizes["cq_specs"], 1e-9, cq_zero_discord, threads),
-        _check("cq-states-zero-impact-hamiltonian", 14, seed, sizes["cq_specs"], 1e-10, cq_zero_impact, threads),
-        _check("discordant-states-positive-gap", 15, seed, sizes["discordant_states"], 0.0, discordant_gap, threads),
+        _check("pmin-vs-axis-oracle", 11, seed, sizes["axis_oracle_states"], 1e-8, axis_oracle),
+        _check("pmin-vs-cq-set-oracle", 12, seed, sizes["cq_oracle_states"], 1e-6, cq_oracle),
+        _check("cq-states-zero-discord", 13, seed, sizes["cq_specs"], 1e-9, cq_zero_discord),
+        _check("cq-states-zero-impact-hamiltonian", 14, seed, sizes["cq_specs"], 1e-10, cq_zero_impact),
+        _check("discordant-states-positive-gap", 15, seed, sizes["discordant_states"], 0.0, discordant_gap),
     ]
 
 
 # --- theorem 2: M-matrix quadratic form -------------------------------------
 
 
-def _suite_theorem2(seed: int, sizes: dict, threads: int) -> list[dict]:
+def _suite_theorem2(seed: int, sizes: dict) -> list[dict]:
     def m_identity(i: int) -> float:
         rng = _rng(seed, 21, i)
         rho = states.random_state((2, 2 + i % 3), seed=rng)
@@ -240,18 +225,18 @@ def _suite_theorem2(seed: int, sizes: dict, threads: int) -> list[dict]:
         return 2.0 * discord - dynamics.impact_power(rho, h)
 
     return [
-        _check("impact-power-quadratic-form", 21, seed, sizes["identity_states"], 1e-10, m_identity, threads),
-        _check("pmax-vs-axis-grid-oracle", 22, seed, sizes["pmax_states"], 1e-6, pmax_oracle, threads),
-        _check("impact-time-profile", 23, seed, sizes["profile_triples"], 1e-10, profile, threads),
-        _check("impact-argmax-at-half-period", 24, seed, sizes["argmax_states"], 0.0, argmax, threads),
-        _check("impact-power-dominates-discord", 25, seed, sizes["order_pairs"], 1e-10, order_relation, threads),
+        _check("impact-power-quadratic-form", 21, seed, sizes["identity_states"], 1e-10, m_identity),
+        _check("pmax-vs-axis-grid-oracle", 22, seed, sizes["pmax_states"], 1e-6, pmax_oracle),
+        _check("impact-time-profile", 23, seed, sizes["profile_triples"], 1e-10, profile),
+        _check("impact-argmax-at-half-period", 24, seed, sizes["argmax_states"], 0.0, argmax),
+        _check("impact-power-dominates-discord", 25, seed, sizes["order_pairs"], 1e-10, order_relation),
     ]
 
 
 # --- theorem 3: two-qubit purity bound --------------------------------------
 
 
-def _suite_theorem3(seed: int, sizes: dict, threads: int) -> list[dict]:
+def _suite_theorem3(seed: int, sizes: dict) -> list[dict]:
     grid = np.linspace(-1.0, 1.0, 101)
 
     def werner_closed_forms(i: int) -> float:
@@ -283,17 +268,17 @@ def _suite_theorem3(seed: int, sizes: dict, threads: int) -> list[dict]:
         return max(p_min, abs(p_max - 1.0))
 
     return [
-        _check("werner-purity-and-discord", 31, seed, grid.size, 1e-10, werner_closed_forms, threads),
-        _check("werner-bound-saturation", 32, seed, grid.size, 1e-9, werner_saturation, threads),
-        _check("random-states-purity-bound", 33, seed, sizes["bound_states"], 1e-9, random_bound, threads),
-        _check("pure-state-endpoints", 34, seed, 1 + sizes["product_states"], 1e-10, endpoints, threads),
+        _check("werner-purity-and-discord", 31, seed, grid.size, 1e-10, werner_closed_forms),
+        _check("werner-bound-saturation", 32, seed, grid.size, 1e-9, werner_saturation),
+        _check("random-states-purity-bound", 33, seed, sizes["bound_states"], 1e-9, random_bound),
+        _check("pure-state-endpoints", 34, seed, 1 + sizes["product_states"], 1e-10, endpoints),
     ]
 
 
 # --- general local dimension -------------------------------------------------
 
 
-def _suite_general_dim(seed: int, sizes: dict, threads: int) -> list[dict]:
+def _suite_general_dim(seed: int, sizes: dict) -> list[dict]:
     def qutrit_bound(i: int) -> float:
         rng = _rng(seed, 41, i)
         rho = states.random_state((3, 2), seed=rng)
@@ -306,14 +291,14 @@ def _suite_general_dim(seed: int, sizes: dict, threads: int) -> list[dict]:
         return result.bound - result.p
 
     return [
-        _check("qutrit-impact-power-bound", 41, seed, sizes["general_states"], 1e-6, qutrit_bound, threads),
+        _check("qutrit-impact-power-bound", 41, seed, sizes["general_states"], 1e-6, qutrit_bound),
     ]
 
 
 # --- trace-norm variant -------------------------------------------------------
 
 
-def _suite_trace_norm(seed: int, sizes: dict, threads: int) -> list[dict]:
+def _suite_trace_norm(seed: int, sizes: dict) -> list[dict]:
     def dominates(i: int) -> float:
         rng = _rng(seed, 51, i)
         rho = states.random_state((2, 2 + i % 2), seed=rng)
@@ -328,8 +313,8 @@ def _suite_trace_norm(seed: int, sizes: dict, threads: int) -> list[dict]:
         return 1e-4 - probe
 
     return [
-        _check("trace-impact-dominates", 51, seed, sizes["trace_triples"], 1e-10, dominates, threads),
-        _check("discordant-trace-gap", 52, seed, sizes["trace_states"], 0.0, discordant_trace_gap, threads),
+        _check("trace-impact-dominates", 51, seed, sizes["trace_triples"], 1e-10, dominates),
+        _check("discordant-trace-gap", 52, seed, sizes["trace_states"], 0.0, discordant_trace_gap),
     ]
 
 
@@ -356,7 +341,6 @@ def run_suite(
     suite: str,
     seed: int = 0,
     budget: str = "quick",
-    threads: int = 1,
     inject_state: str | None = None,
     timings: list | None = None,
 ) -> dict:
@@ -374,7 +358,7 @@ def run_suite(
     sizes = SIZES[budget]
     checks: list[dict] = []
     for name in names:
-        checks.extend(_SUITE_RUNNERS[name](seed, sizes, threads))
+        checks.extend(_SUITE_RUNNERS[name](seed, sizes))
     for check in checks:
         elapsed = check.pop(_ELAPSED)
         if timings is not None:

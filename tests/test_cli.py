@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from impactpower import cli, correlations, states, verify
+from impactpower import cli, correlations, states
 
 
 @pytest.fixture
@@ -166,10 +171,9 @@ def test_scan_random_matches_per_item_reference(capsys, monkeypatch, dims, rank)
     argv += ["--rank", str(rank), "--seed", str(seed)]
     for chunk in (1, 7, cli._SCAN_CHUNK):
         monkeypatch.setattr(cli, "_SCAN_CHUNK", chunk)
-        for threads in ("1", "2"):
-            code, out, _ = run(capsys, argv + ["--threads", threads])
-            assert code == 0
-            assert out == expected, (chunk, threads)
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out == expected, chunk
 
 
 @pytest.mark.parametrize("family,make,lo", [("werner", states.werner, -1.0), ("isotropic", states.isotropic, 0.0)])
@@ -181,36 +185,31 @@ def test_scan_families_match_per_item_reference(capsys, family, make, lo):
     assert out == expected
 
 
-def test_thread_pool_is_capped_at_the_work_count(capsys, monkeypatch):
-    sizes = []
+def test_threads_option_is_accepted_and_starts_no_thread(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("a thread was started")
 
-    class RecordingPool:
-        """Stands in for ThreadPoolExecutor: records max_workers and starts no thread."""
+    scan = ["scan", "random", "--samples", str(2 * cli._SCAN_CHUNK + 1), "--seed", "2"]
+    check = ["verify", "--suite", "theorem3", "--budget", "quick", "--seed", "5"]
+    expected = [run(capsys, argv) for argv in (scan, check)]
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for argv, (code, out, _) in zip((scan, check), expected):
+        assert code == 0
+        assert run(capsys, argv + ["--threads", "4"]) == (0, out, "")
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(verify, "ThreadPoolExecutor", RecordingPool)
-    assert verify.map_indexed(lambda i: i * i, 3, 5000) == [0, 1, 4]
-    assert verify.map_indexed(lambda i: i, 10, 4) == list(range(10))
-    assert sizes == [3, 4]
-    # a scan fans out batches of rows, so the pool never exceeds their count
-    samples = 2 * cli._SCAN_CHUNK + 1
-    code, out, _ = run(
-        capsys, ["scan", "random", "--samples", str(samples), "--seed", "2", "--threads", "5000"]
+def test_python_dash_m_runs_the_cli():
+    package_root = Path(cli.__file__).resolve().parents[1]
+    paths = [str(package_root), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "impactpower", "scan", "werner", "--grid", "3"],
+        capture_output=True, text=True, env=env, check=False,
     )
-    assert code == 0
-    assert len(out.split("\n")) == samples + 2
-    assert sizes == [3, 4, 3]
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4
+    assert lines[0] == cli.CSV_HEADER
 
 
 def test_scan_writes_file_with_lf_endings(capsys, tmp_path):
