@@ -22,13 +22,10 @@ from .linalg import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    HermitianEig,
-    dag,
     haar_unitary,
     hermitian_eigendecompose,
     hermitian_eigenvalues,
     hs_norm_sq,
-    is_hermitian,
     partial_trace_A,
     partial_trace_B,
     tensor,

@@ -94,17 +94,12 @@ def _impact_profile(
         return []
     levels, _ = ham.distinct_levels()
     span = 2.0 * math.pi / float(np.min(np.diff(levels)))
-    profile = []
-    for j in range(samples + 1):
-        t = j * span / samples
-        profile.append(
-            {
-                "t": t,
-                "impact": dynamics.impact(rho, ham, t),
-                "trace_impact": dynamics.trace_impact(rho, ham, t),
-            }
-        )
-    return profile
+    ts = np.arange(samples + 1) * span / samples
+    columns = (ts, dynamics.impact(rho, ham, ts), dynamics.trace_impact(rho, ham, ts))
+    return [
+        {"t": t, "impact": i, "trace_impact": x}
+        for t, i, x in zip(*(c.tolist() for c in columns))
+    ]
 
 
 # --- scan ---------------------------------------------------------------------

@@ -14,7 +14,7 @@ p_min <= (4/3) Tr[rho^2] - 1/3, saturated by the Werner family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -73,15 +73,7 @@ class CorrelationReport:
     method: str
 
     def to_dict(self) -> dict:
-        return {
-            "purity": self.purity,
-            "p_min": self.p_min,
-            "p_max": self.p_max,
-            "discord": self.discord,
-            "bound_rhs": self.bound_rhs,
-            "saturates_bound": self.saturates_bound,
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 def _require_qubit_a(rho: DensityMatrix, what: str) -> None:
@@ -93,7 +85,7 @@ def _require_qubit_a(rho: DensityMatrix, what: str) -> None:
 _M_ROWS, _M_COLS = np.triu_indices(3)
 
 
-def _m_stack(mats: np.ndarray, d_b: int) -> tuple[np.ndarray, linalg.HermitianEig]:
+def _m_stack(mats: np.ndarray, d_b: int):
     # M and its spectrum for every matrix of an (N, 2 d_B, 2 d_B) stack, from
     # one stacked product and one stacked eigh.  With X_i = rho (sigma_i (x) 1),
     # M_ij sums the entries of X_i * X_j^T of one matrix in row-major order,
@@ -106,8 +98,7 @@ def _m_stack(mats: np.ndarray, d_b: int) -> tuple[np.ndarray, linalg.HermitianEi
     m[:, _M_ROWS, _M_COLS] = entries
     m[:, _M_COLS, _M_ROWS] = entries
     # finite and exactly symmetric by construction, so LAPACK gets M as it is
-    vals, vecs = linalg._lapack(np.linalg.eigh, m.astype(complex))
-    return m, linalg.HermitianEig(eigenvalues=vals, eigenvectors=vecs)
+    return m, linalg._lapack(np.linalg.eigh, m.astype(complex))
 
 
 def m_matrix(rho: DensityMatrix) -> MMatrix:
@@ -168,7 +159,7 @@ def extremal_axes(mm: MMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 def p_extrema(rho: DensityMatrix) -> tuple[float, float]:
     """(p_min, p_max) for qubit A: purity minus the extreme eigenvalues of M."""
-    _require_qubit_a(rho, "m_matrix")
+    _require_qubit_a(rho, "p_extrema")
     _, p_min, p_max = p_extrema_stack(rho.mat[None], rho.d_b)
     return float(p_min[0]), float(p_max[0])
 

@@ -5,11 +5,15 @@ Hilbert-Schmidt distance between the evolved and the initial global state,
 
     I(rho, H_A, t) = (1/2) ||exp(-i H_A t) rho exp(i H_A t) - rho||^2,
 
-and the impact power P(rho, H_A) = max_t I.  Expanding in the eigenprojectors
-of H_A gives I(t) = a - sum_{l>k} b_lk cos(dE_lk t) with time-independent
-coefficients; for a spectrum with at most two distinct levels the maximum is
-exactly 2a at t = pi/dE, otherwise it is found numerically on a dense time
-grid and reported as a certified lower bound.
+and the impact power P(rho, H_A) = max_t I.  H_A is stored as its energies
+and one ``(L, d_A, d_A)`` stack of eigenprojectors, and every sum over levels
+or level pairs is one array reduction over that stack.  ``impact`` and
+``trace_impact`` take a scalar time or an array of times; an array gives one
+value per time, each equal to the bit to the scalar call.  Expanding in the
+eigenprojectors gives I(t) = a - sum_{l>k} b_lk cos(dE_lk t) with
+time-independent coefficients; for a spectrum with at most two distinct levels
+the maximum is exactly 2a at t = pi/dE, otherwise it is found numerically on a
+dense time grid and reported as a certified lower bound.
 """
 
 from __future__ import annotations
@@ -38,54 +42,70 @@ def _gap_tol(energies: np.ndarray) -> float:
 
 
 def _merge_levels(
-    energies: np.ndarray, projectors: tuple[np.ndarray, ...], gap_tol: float
-) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Energies merged within ``gap_tol``, with summed projectors, ascending."""
-    merged_e: list[float] = []
-    merged_p: list[np.ndarray] = []
-    for idx in np.argsort(energies, kind="stable"):
-        e = float(energies[idx])
-        if merged_e and e - merged_e[-1] <= gap_tol:
-            merged_p[-1] = merged_p[-1] + projectors[idx]
-        else:
-            merged_e.append(e)
-            merged_p.append(projectors[idx].copy())
-    return np.array(merged_e), tuple(merged_p)
+    energies: np.ndarray, projectors: np.ndarray, gap_tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Energies merged within ``gap_tol``, with summed projectors, ascending.
+
+    A level joins the current group when it lies within ``gap_tol`` of the
+    group's first energy; each group's projectors are summed in sorted order.
+    """
+    order = np.argsort(energies, kind="stable")
+    levels = energies[order].tolist()
+    starts = [0]
+    for pos, e in enumerate(levels):
+        if e - levels[starts[-1]] > gap_tol:
+            starts.append(pos)
+    return np.array(levels)[starts], np.add.reduceat(projectors[order], starts, axis=0)
+
+
+def _level_sum(weights: np.ndarray, projectors: np.ndarray) -> np.ndarray:
+    # sum_l w_l Pi_l, accumulated in level order; ``weights`` may carry
+    # leading axes, giving one sum per row
+    return np.add.reduce(weights[..., None, None] * projectors, axis=-3)
 
 
 @dataclass(frozen=True, eq=False)
 class LocalHamiltonian:
-    """Hermitian operator on A stored as energies plus orthogonal projectors."""
+    """Hermitian operator on A stored as energies plus orthogonal projectors.
+
+    ``projectors`` is stored as one ``(L, d_A, d_A)`` complex array, row l
+    projecting onto the eigenspace of ``energies[l]``.
+    """
 
     energies: np.ndarray
-    projectors: tuple[np.ndarray, ...]
+    projectors: np.ndarray
 
     def __post_init__(self) -> None:
         energies = np.asarray(self.energies, dtype=float).reshape(-1)
-        projectors = tuple(np.asarray(p, dtype=complex) for p in self.projectors)
-        if energies.size != len(projectors) or energies.size == 0:
+        count = len(self.projectors)
+        if energies.size != count or count == 0:
             raise DimensionMismatch(
                 f"need one projector per energy, got {energies.size} energies "
-                f"and {len(projectors)} projectors"
+                f"and {count} projectors"
             )
-        d = projectors[0].shape[0]
-        for p in projectors:
-            if p.shape != (d, d):
-                raise DimensionMismatch("projectors have inconsistent shapes")
+        try:
+            projectors = np.asarray(self.projectors, dtype=complex)
+        except ValueError as exc:  # ragged: numpy cannot stack them
+            raise DimensionMismatch("projectors have inconsistent shapes") from exc
+        if projectors.ndim != 3 or projectors.shape[1] != projectors.shape[2]:
+            raise DimensionMismatch("projectors have inconsistent shapes")
         if not np.all(np.isfinite(energies)):
             raise InvalidHamiltonian("energies have non-finite (NaN or inf) entries")
-        if not all(np.all(np.isfinite(p)) for p in projectors):
+        if not np.all(np.isfinite(projectors)):
             raise InvalidHamiltonian("projectors have non-finite (NaN or inf) entries")
-        for i, p in enumerate(projectors):
-            for j, q in enumerate(projectors):
-                target = p if i == j else 0.0
-                if float(np.max(np.abs(p @ q - target))) > PROJECTOR_TOL:
-                    raise InvalidHamiltonian(
-                        f"projectors {i},{j} violate Pi_i Pi_j = delta_ij Pi_i "
-                        f"within {PROJECTOR_TOL:.1e}"
-                    )
-        complete = sum(projectors)
-        if float(np.max(np.abs(complete - np.eye(d)))) > PROJECTOR_TOL:
+        # Pi_i Pi_j - delta_ij Pi_i for every pair (i, j) from one stacked product
+        defect = projectors[:, None] @ projectors
+        diag = np.arange(count)
+        defect[diag, diag] -= projectors
+        bad = np.argwhere(np.abs(defect).max(axis=(-2, -1)) > PROJECTOR_TOL)
+        if bad.size:
+            i, j = bad[0]  # the first failing pair in row-major order
+            raise InvalidHamiltonian(
+                f"projectors {i},{j} violate Pi_i Pi_j = delta_ij Pi_i "
+                f"within {PROJECTOR_TOL:.1e}"
+            )
+        complete = projectors.sum(axis=0)
+        if float(np.max(np.abs(complete - np.eye(projectors.shape[1])))) > PROJECTOR_TOL:
             raise InvalidHamiltonian(
                 f"projectors do not resolve the identity within {PROJECTOR_TOL:.1e}"
             )
@@ -94,7 +114,7 @@ class LocalHamiltonian:
 
     @property
     def d_a(self) -> int:
-        return self.projectors[0].shape[0]
+        return self.projectors.shape[1]
 
     @property
     def gap_tol(self) -> float:
@@ -108,7 +128,7 @@ class LocalHamiltonian:
             return False
         return float(np.min(np.diff(e))) > self.gap_tol
 
-    def distinct_levels(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    def distinct_levels(self) -> tuple[np.ndarray, np.ndarray]:
         """Energies merged within gap_tol, with summed projectors, ascending."""
         return _merge_levels(self.energies, self.projectors, self.gap_tol)
 
@@ -124,14 +144,15 @@ class LocalHamiltonian:
 
     def matrix(self) -> np.ndarray:
         """H as a dense d_A x d_A matrix."""
-        return sum(e * p for e, p in zip(self.energies, self.projectors))
+        return _level_sum(self.energies, self.projectors)
 
     @classmethod
     def from_matrix(cls, h: np.ndarray, tol: float = 1e-9) -> "LocalHamiltonian":
         """Spectral decomposition of a Hermitian matrix, merging close eigenvalues."""
         h = np.asarray(h, dtype=complex)
         eig = linalg.hermitian_eigendecompose(h, tol=tol)
-        rank_one = tuple(np.outer(vec, vec.conj()) for vec in eig.eigenvectors.T)
+        vecs = eig.eigenvectors.T
+        rank_one = vecs[:, :, None] * vecs.conj()[:, None, :]
         return cls(*_merge_levels(eig.eigenvalues, rank_one, _gap_tol(eig.eigenvalues)))
 
     @classmethod
@@ -153,7 +174,7 @@ class LocalHamiltonian:
         eye2 = np.eye(2, dtype=complex)
         return cls(
             np.array([-gap / 2.0, gap / 2.0]),
-            ((eye2 - r_sigma) / 2.0, (eye2 + r_sigma) / 2.0),
+            np.stack(((eye2 - r_sigma) / 2.0, (eye2 + r_sigma) / 2.0)),
         )
 
 
@@ -198,44 +219,51 @@ def _check_dims(rho: DensityMatrix, h: LocalHamiltonian) -> None:
         )
 
 
-def _evolved(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> np.ndarray:
-    # the matrix of rho(t) = U rho U^dagger with U = exp(-i H_A t) (x) 1_B
+def _evolved(rho: DensityMatrix, h: LocalHamiltonian, t) -> np.ndarray:
+    # the matrix of rho(t) = U rho U^dagger with U = exp(-i H_A t) (x) 1_B,
+    # one matrix per entry of the time array t (a single one for a scalar)
     _check_dims(rho, h)
-    t = float(t)
-    u_a = sum(np.exp(-1j * e * t) * p for e, p in zip(h.energies, h.projectors))
+    t = np.asarray(t, dtype=float)
+    u_a = _level_sum(np.exp(-1j * h.energies * t[..., None]), h.projectors)
     u = linalg.tensor(u_a, np.eye(rho.d_b, dtype=complex))
-    return u @ rho.mat @ u.conj().T
+    return u @ rho.mat @ u.conj().swapaxes(-1, -2)
 
 
 def evolve(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> DensityMatrix:
     """Conjugate rho by exp(-i H_A t) (x) 1_B."""
     # unitary conjugation preserves every density-matrix invariant
-    return DensityMatrix(_evolved(rho, h, t), rho.dims, validate=False)
+    return DensityMatrix(_evolved(rho, h, float(t)), rho.dims, validate=False)
 
 
-def impact(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> float:
-    """Half the squared Hilbert-Schmidt distance between rho(t) and rho."""
+def impact(rho: DensityMatrix, h: LocalHamiltonian, t) -> float | np.ndarray:
+    """Half the squared Hilbert-Schmidt distance between rho(t) and rho.
+
+    A scalar t gives a float; an array of times gives one value per time.
+    """
     return 0.5 * linalg.hs_norm_sq(_evolved(rho, h, t) - rho.mat)
 
 
-def trace_impact(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> float:
-    """Half the squared trace norm of rho(t) - rho; never below ``impact``."""
-    return 0.5 * linalg.trace_norm(_evolved(rho, h, t) - rho.mat) ** 2
+def trace_impact(rho: DensityMatrix, h: LocalHamiltonian, t) -> float | np.ndarray:
+    """Half the squared trace norm of rho(t) - rho; never below ``impact``.
+
+    A scalar t gives a float; an array of times gives one value per time.
+    """
+    n = linalg.trace_norm(_evolved(rho, h, t) - rho.mat)
+    return 0.5 * n * n
 
 
-def _coefficients(rho: DensityMatrix, projectors) -> ImpactCoefficients:
-    eye_b = np.eye(rho.d_b, dtype=complex)
-    # Y_i = rho (Pi_i (x) 1_B), so Tr[rho Pi_l rho Pi_k] = Tr[Y_l Y_k]
-    y = [rho.mat @ linalg.tensor(p, eye_b) for p in projectors]
+def _coefficients(rho: DensityMatrix, projectors: np.ndarray) -> ImpactCoefficients:
+    # Y_l = rho (Pi_l (x) 1_B), so Tr[rho Pi_l rho Pi_k] = Tr[Y_l Y_k] sums the
+    # entries of Y_l * Y_k^T in row-major order, for every pair l >= k at once
+    y = rho.mat @ linalg.tensor(projectors, np.eye(rho.d_b, dtype=complex))
     n = len(y)
-    b = np.zeros((n, n))
-    dephased_overlap = 0.0
-    for l in range(n):
-        dephased_overlap += float(np.sum(y[l] * y[l].T).real)
-        for k in range(l):
-            b[l, k] = 2.0 * float(np.sum(y[l] * y[k].T).real)
-    a = rho.purity - dephased_overlap
-    return ImpactCoefficients(a=a, b=b)
+    rows, cols = np.tril_indices(n)
+    prod = y[rows] * y[cols].swapaxes(-1, -2)
+    overlaps = np.zeros((n, n))
+    overlaps[rows, cols] = prod.reshape(len(rows), -1).sum(axis=-1).real
+    # sum_l Tr[Y_l Y_l] as a running sum in level order
+    dephased_overlap = float(np.cumsum(np.diagonal(overlaps))[-1])
+    return ImpactCoefficients(a=rho.purity - dephased_overlap, b=2.0 * np.tril(overlaps, -1))
 
 
 def impact_coefficients(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactCoefficients:
@@ -282,21 +310,29 @@ def impact_power_result(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactPowerR
             value=value, t_max=math.pi / gap, exact=True, upper_bound=value
         )
 
-    pairs = list(coeff.pairs())
-    gaps = np.array([energies[l] - energies[k] for l, k, _ in pairs])
-    weights = np.array([w for _, _, w in pairs])
+    # the pairs l > k in row-major order, reduced over in that order from 0
+    rows, cols = np.tril_indices(energies.size, -1)
+    gaps = energies[rows] - energies[cols]
+    weights = coeff.b[rows, cols]
 
     def profile(ts):
-        acc = np.zeros_like(ts)
-        for g, w in zip(gaps, weights):
-            acc += w * (1.0 - np.cos(g * ts))
-        return acc
+        # one row of w_lk (1 - cos(dE_lk t)) per pair, built in place; a running
+        # sum down the rows keeps the pair order for any number of times (a
+        # reduce over a single time would sum pairwise)
+        terms = np.multiply.outer(gaps, ts)
+        np.cos(terms, out=terms)
+        np.subtract(1.0, terms, out=terms)
+        terms *= weights[:, None]
+        total = np.add.accumulate(terms, axis=0, out=terms)[-1]
+        total += 0.0  # as if summed from +0.0: no -0.0 total
+        return total
 
     span = 2.0 * math.pi / float(np.min(gaps))
-    ts = np.arange(1, GRID_POINTS + 1) * (span / GRID_POINTS)
+    step = span / GRID_POINTS
+    ts = np.arange(1.0, GRID_POINTS + 1.0)
+    ts *= step  # in place: no integer grid held beside the profile rows
     values = profile(ts)
     best = int(np.argmax(values))
-    step = span / GRID_POINTS
     lo = max(ts[best] - step, step * 1e-6)
     hi = min(ts[best] + step, span)
     value, t_best = _golden_max(
@@ -340,7 +376,7 @@ def hamiltonian_from_dict(data: dict) -> LocalHamiltonian:
         projectors = [linalg.pairs_to_matrix(p, d_a, d_a) for p in data["projectors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidHamiltonian(f"malformed hamiltonian object: {exc}") from exc
-    return LocalHamiltonian(energies, tuple(projectors))
+    return LocalHamiltonian(energies, projectors)
 
 
 def load_hamiltonian(path) -> LocalHamiltonian:

@@ -14,7 +14,6 @@ to the solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,18 +26,6 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 #: default absolute tolerance on max entrywise deviation from A = A^dagger
 HERMITICITY_TOL = 1e-9
-
-
-def dag(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
-
-
-def is_hermitian(a: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    return float(np.max(np.abs(a - a.conj().T))) <= tol
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,28 +88,18 @@ def trace_norm(a: np.ndarray, tol: float = HERMITICITY_TOL) -> float | np.ndarra
     return np.sum(magnitudes, axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianEig:
-    """Spectral decomposition A = V diag(w) V^dagger.
-
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigendecompose(a: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianEig:
+def hermitian_eigendecompose(a: np.ndarray, tol: float = HERMITICITY_TOL):
     """Eigendecompose a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
-    The solver sees the exact Hermitian part (A + A^dagger)/2.  Raises
-    DimensionMismatch unless A is square, ImpactPowerError if an entry is
-    non-finite, NotHermitian if any entry of A - A^dagger exceeds ``tol`` in
-    magnitude, and NoConvergence if LAPACK reports that it did not converge.
+    Returns numpy's ``EighResult``: ``eigenvalues`` real and ascending,
+    ``eigenvectors`` the matching orthonormal eigenvectors as columns, so
+    A = V diag(w) V^dagger.  The solver sees the exact Hermitian part
+    (A + A^dagger)/2.  Raises DimensionMismatch unless A is square,
+    ImpactPowerError if an entry is non-finite, NotHermitian if any entry of
+    A - A^dagger exceeds ``tol`` in magnitude, and NoConvergence if LAPACK
+    reports that it did not converge.
     """
-    vals, vecs = _lapack(np.linalg.eigh, _checked_hermitian_part(a, tol))
-    return HermitianEig(eigenvalues=vals, eigenvectors=vecs)
+    return _lapack(np.linalg.eigh, _checked_hermitian_part(a, tol))
 
 
 def hermitian_eigenvalues(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:

@@ -306,7 +306,7 @@ def impact_power_grid(
     if levels.size < 2:
         raise DegenerateHamiltonian("impact power grid search needs at least two distinct levels")
     span = 2.0 * math.pi / float(np.min(np.diff(levels)))
-    embedded = linalg.tensor(np.array(h.projectors), np.eye(rho.d_b, dtype=complex))
+    embedded = linalg.tensor(h.projectors, np.eye(rho.d_b, dtype=complex))
     value, t = _grid_golden_max(rho.mat, embedded[None], h.energies, span, grid_points)
     return GridMax(value=float(value[0]), t=float(t[0]))
 

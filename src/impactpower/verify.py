@@ -213,8 +213,7 @@ def _suite_theorem2(seed: int, sizes: dict) -> list[dict]:
         period = 2.0 * math.pi / gap
         step = period / _ARGMAX_GRID
         ts = np.arange(1, _ARGMAX_GRID + 1) * step
-        values = [dynamics.impact(rho, h, float(t)) for t in ts]
-        t_best = float(ts[int(np.argmax(values))])
+        t_best = float(ts[int(np.argmax(dynamics.impact(rho, h, ts)))])
         return abs(t_best - math.pi / gap) - step
 
     def order_relation(i: int) -> float:

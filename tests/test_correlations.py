@@ -49,8 +49,11 @@ def test_m_matrix_quadratic_form_equals_dephasing(rng):
 
 
 def test_m_matrix_requires_qubit_a():
-    with pytest.raises(DimensionMismatch):
-        correlations.m_matrix(states.random_state((3, 2), seed=0))
+    rho = states.random_state((3, 2), seed=0)
+    with pytest.raises(DimensionMismatch, match="m_matrix"):
+        correlations.m_matrix(rho)
+    with pytest.raises(DimensionMismatch, match="p_extrema"):
+        correlations.p_extrema(rho)
 
 
 def test_p_extrema_examples():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from impactpower import dynamics, linalg, states
 from impactpower.errors import DimensionMismatch, InvalidHamiltonian, OutOfRange
@@ -277,3 +279,220 @@ def test_hamiltonian_from_dict_rejects_malformed():
         dynamics.hamiltonian_from_dict(
             {"dA": 2, "energies": "ab", "projectors": [linalg.matrix_to_pairs(np.eye(2))]}
         )
+
+
+# --- frozen per-projector loops: the reference the projector stack must match ---
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reference_validate(energies, projectors) -> None:
+    # the per-pair validation loop of the tuple-of-projectors design
+    energies = np.asarray(energies, dtype=float).reshape(-1)
+    projectors = tuple(np.asarray(p, dtype=complex) for p in projectors)
+    if energies.size != len(projectors) or energies.size == 0:
+        raise DimensionMismatch(
+            f"need one projector per energy, got {energies.size} energies "
+            f"and {len(projectors)} projectors"
+        )
+    d = projectors[0].shape[0]
+    for p in projectors:
+        if p.shape != (d, d):
+            raise DimensionMismatch("projectors have inconsistent shapes")
+    if not np.all(np.isfinite(energies)):
+        raise InvalidHamiltonian("energies have non-finite (NaN or inf) entries")
+    if not all(np.all(np.isfinite(p)) for p in projectors):
+        raise InvalidHamiltonian("projectors have non-finite (NaN or inf) entries")
+    tol = dynamics.PROJECTOR_TOL
+    for i, p in enumerate(projectors):
+        for j, q in enumerate(projectors):
+            target = p if i == j else 0.0
+            if float(np.max(np.abs(p @ q - target))) > tol:
+                raise InvalidHamiltonian(
+                    f"projectors {i},{j} violate Pi_i Pi_j = delta_ij Pi_i within {tol:.1e}"
+                )
+    if float(np.max(np.abs(sum(projectors) - np.eye(d)))) > tol:
+        raise InvalidHamiltonian(f"projectors do not resolve the identity within {tol:.1e}")
+
+
+def _reference_levels(energies, projectors, gap_tol):
+    merged_e, merged_p = [], []
+    for idx in np.argsort(energies, kind="stable"):
+        e = float(energies[idx])
+        if merged_e and e - merged_e[-1] <= gap_tol:
+            merged_p[-1] = merged_p[-1] + projectors[idx]
+        else:
+            merged_e.append(e)
+            merged_p.append(projectors[idx].copy())
+    return np.array(merged_e), np.array(merged_p)
+
+
+def _reference_coefficients(rho, projectors):
+    eye_b = np.eye(rho.d_b, dtype=complex)
+    y = [rho.mat @ linalg.tensor(p, eye_b) for p in projectors]
+    n = len(y)
+    b = np.zeros((n, n))
+    dephased_overlap = 0.0
+    for l in range(n):
+        dephased_overlap += float(np.sum(y[l] * y[l].T).real)
+        for k in range(l):
+            b[l, k] = 2.0 * float(np.sum(y[l] * y[k].T).real)
+    return rho.purity - dephased_overlap, b
+
+
+def _test_hamiltonians(rng):
+    """Two and three levels, merged-degenerate qutrits, four levels, all energies negative."""
+    return [
+        random_qubit_hamiltonian(rng),
+        dynamics.LocalHamiltonian.from_matrix(random_hermitian(rng, 2)),
+        dynamics.LocalHamiltonian.from_matrix(random_hermitian(rng, 3)),
+        dynamics.LocalHamiltonian.from_matrix(np.diag([0.0, 1.0, 1.0])),
+        dynamics.LocalHamiltonian.from_matrix(np.diag([-0.5, 2.0, 2.0 + 1e-12])),
+        dynamics.LocalHamiltonian.from_matrix(random_hermitian(rng, 4)),
+        # exact zeros of the projectors scale to -0.0 here
+        dynamics.LocalHamiltonian.from_matrix(np.diag([-3.0, -2.0, -1.0])),
+    ]
+
+
+@pytest.mark.parametrize("d_b", [2, 3, 4])
+def test_impacts_over_time_array_equal_scalar_calls(rng, d_b):
+    for ham in _test_hamiltonians(rng):
+        rho = states.random_state((ham.d_a, d_b), seed=rng)
+        ts = np.concatenate([[0.0], rng.uniform(0.0, 9.0, 16)])
+        for fn in (dynamics.impact, dynamics.trace_impact):
+            stacked = fn(rho, ham, ts)
+            assert stacked.shape == ts.shape
+            scalar = np.array([fn(rho, ham, float(t)) for t in ts])
+            assert _same_bits(stacked, scalar)
+            assert isinstance(fn(rho, ham, float(ts[1])), float)
+
+
+def test_projector_stack_matches_per_projector_loops(rng):
+    for ham in _test_hamiltonians(rng):
+        assert ham.projectors.shape == (len(ham.energies), ham.d_a, ham.d_a)
+        assert ham.projectors.dtype == complex
+        ref_matrix = sum(e * p for e, p in zip(ham.energies, ham.projectors))
+        assert _same_bits(ham.matrix(), ref_matrix)
+        levels, projectors = ham.distinct_levels()
+        ref_levels, ref_projectors = _reference_levels(ham.energies, ham.projectors, ham.gap_tol)
+        assert _same_bits(levels, ref_levels)
+        assert _same_bits(projectors, ref_projectors)
+        for d_b in (2, 3):
+            rho = states.random_state((ham.d_a, d_b), rank=1 + d_b, seed=rng)
+            for stack in (ham.projectors, projectors):
+                coeff = dynamics._coefficients(rho, stack)
+                ref_a, ref_b = _reference_coefficients(rho, stack)
+                assert coeff.a == ref_a
+                assert _same_bits(coeff.b, ref_b)
+
+
+def _reference_numeric_power(rho, ham):
+    # the per-pair profile loop of the three-or-more-level search
+    energies, projectors = ham.distinct_levels()
+    _, b = _reference_coefficients(rho, projectors)
+    pairs = [(l, k) for l in range(1, energies.size) for k in range(l)]
+    gaps = np.array([energies[l] - energies[k] for l, k in pairs])
+    weights = np.array([b[l, k] for l, k in pairs])
+
+    def profile(ts):
+        acc = np.zeros_like(ts)
+        for g, w in zip(gaps, weights):
+            acc += w * (1.0 - np.cos(g * ts))
+        return acc
+
+    span = 2.0 * math.pi / float(np.min(gaps))
+    step = span / dynamics.GRID_POINTS
+    ts = np.arange(1, dynamics.GRID_POINTS + 1) * step
+    values = profile(ts)
+    best = int(np.argmax(values))
+    value, t_best = dynamics._golden_max(
+        lambda t: float(profile(np.array([t]))[0]),
+        max(ts[best] - step, step * 1e-6),
+        min(ts[best] + step, span),
+        dynamics.TIME_REFINE_TOL,
+    )
+    value = max(value, float(values[best]))
+    return value, float(ts[best]) if value == float(values[best]) else t_best
+
+
+@pytest.mark.parametrize("d_a", [3, 4, 5])
+def test_numeric_impact_power_matches_per_pair_loop(rng, d_a):
+    # five levels give ten pairs, past the eight where numpy sums pairwise
+    for _ in range(3):
+        ham = dynamics.LocalHamiltonian.from_matrix(random_hermitian(rng, d_a))
+        rho = states.random_state((d_a, 2), seed=rng)
+        res = dynamics.impact_power_result(rho, ham)
+        assert (res.value, res.t_max) == _reference_numeric_power(rho, ham)
+
+
+def test_merge_levels_groups_by_first_energy():
+    # 0, 0.6 tol, 1.2 tol: 0.6 joins the first level, 1.2 is too far from 0
+    eye3 = np.eye(3, dtype=complex)
+    rank_one = eye3[:, :, None] * eye3[:, None, :]
+    energies = np.array([1.2, 0.0, 0.6])
+    levels, projectors = dynamics._merge_levels(energies, rank_one, 0.7)
+    ref_levels, ref_projectors = _reference_levels(energies, rank_one, 0.7)
+    assert levels.tolist() == [0.0, 1.2]
+    assert _same_bits(levels, ref_levels) and _same_bits(projectors, ref_projectors)
+
+
+def _invalid_projector_sets():
+    p0, p1, p2 = (np.diag(v).astype(complex) for v in np.eye(3))
+    return {
+        "non-orthogonal at 0,1": ([0.0, 1.0, 2.0], (p0 + p1, p1, p2)),
+        "non-orthogonal at 1,2": ([0.0, 1.0, 2.0], (p0, p1, p1)),
+        "non-idempotent": ([0.0], (0.5 * np.eye(2, dtype=complex),)),
+        "non-orthogonal at 0,2 before non-idempotent 1": ([0.0, 1.0, 2.0], (p0 + p2, 0.5 * p1, p2)),
+        "incomplete": ([0.0, 1.0], (p0, p1)),
+        "ragged": ([0.0, 1.0], (np.eye(2, dtype=complex), np.eye(3, dtype=complex))),
+        "not square": ([0.0, 1.0], (np.zeros((2, 3)), np.zeros((2, 3)))),
+        "count": ([0.0, 1.0, 2.0], (p0, p1)),
+        "empty": ([], ()),
+        "NaN projector": ([0.0, 1.0, 2.0], (p0, np.diag([0.0, np.nan, 0.0]), p2)),
+        "NaN energy": ([0.0, np.nan, 2.0], (p0, p1, p2)),
+        "inf energy": ([0.0, 1.0, np.inf], (p0, p1, p2)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_invalid_projector_sets()))
+def test_invalid_projector_sets_raise_the_loop_error(case):
+    energies, projectors = _invalid_projector_sets()[case]
+    with pytest.raises(Exception) as expected:
+        _reference_validate(np.array(energies), projectors)
+    with pytest.raises(Exception) as got:
+        dynamics.LocalHamiltonian(np.array(energies), projectors)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+_finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    d_a=st.integers(min_value=2, max_value=4),
+    degenerate=st.booleans(),
+)
+def test_hamiltonian_dict_round_trip_is_exact_for_matrices(seed, d_a, degenerate):
+    rng = np.random.default_rng(seed)
+    h = random_hermitian(rng, d_a)
+    if degenerate:
+        h = np.diag(np.round(np.linalg.eigvalsh(h)))
+    ham = dynamics.LocalHamiltonian.from_matrix(h)
+    back = dynamics.hamiltonian_from_dict(json.loads(json.dumps(dynamics.hamiltonian_to_dict(ham))))
+    assert _same_bits(back.energies, ham.energies)
+    assert _same_bits(back.projectors, ham.projectors)
+
+
+@settings(max_examples=30, deadline=None)
+@given(axis=st.tuples(_finite, _finite, _finite), gap=_finite)
+def test_hamiltonian_dict_round_trip_is_exact_for_bloch_axes(axis, gap):
+    assume(np.linalg.norm(axis) > 0.0)
+    ham = dynamics.LocalHamiltonian.from_bloch_axis(axis, gap)
+    back = dynamics.hamiltonian_from_dict(json.loads(json.dumps(dynamics.hamiltonian_to_dict(ham))))
+    assert _same_bits(back.energies, ham.energies)
+    assert _same_bits(back.projectors, ham.projectors)
