@@ -20,12 +20,13 @@ from .errors import ImpactPowerError
 CSV_HEADER = "family_param_or_seed,purity,p_min,p_max,discord,bound_rhs,gap_to_bound"
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("IMPACTPOWER_SEED", "")
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
+def _seed(text: str) -> int:
+    """An integer >= 0; argparse applies this type to --seed and to its default string."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer (from --seed or IMPACTPOWER_SEED), got {text!r}"
+        )
+    return int(text)
 
 
 def _fmt(value: float) -> str:
@@ -205,6 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         "correlations it reveals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed_default = os.environ.get("IMPACTPOWER_SEED") or "0"
 
     compute = sub.add_parser(
         "compute",
@@ -221,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=32,
         help="points in the impact-vs-time profile (0 disables; default 32)",
     )
-    compute.add_argument("--seed", type=int, default=_default_seed())
+    compute.add_argument("--seed", type=_seed, default=seed_default)
     compute.set_defaults(func=cmd_compute)
 
     scan = sub.add_parser("scan", help="family scan emitted as CSV")
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--samples", type=int, default=1000, help="sample count for random")
     scan.add_argument("--dims", default="2x2", help="dims for random, like 2x2 or 2x3")
     scan.add_argument("--rank", type=int, default=0, help="rank for random (default full)")
-    scan.add_argument("--seed", type=int, default=_default_seed())
+    scan.add_argument("--seed", type=_seed, default=seed_default)
     scan.add_argument("--threads", type=int, default=1, help="ignored: work runs serially")
     scan.add_argument("--out", help="write CSV here instead of stdout")
     scan.set_defaults(func=cmd_scan)
@@ -241,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=["all", *verify.SUITES],
     )
-    ver.add_argument("--seed", type=int, default=_default_seed())
+    ver.add_argument("--seed", type=_seed, default=seed_default)
     ver.add_argument("--budget", default="quick", choices=["quick", "full"])
     ver.add_argument("--threads", type=int, default=1, help="ignored: work runs serially")
     ver.add_argument(

@@ -13,7 +13,6 @@ p_min <= (4/3) Tr[rho^2] - 1/3, saturated by the Werner family.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -134,13 +133,10 @@ def _zero_roundoff(p: np.ndarray) -> np.ndarray:
 
 
 def _canonical_axis(vec: np.ndarray) -> np.ndarray:
+    # the unit vector whose first entry above 1e-12 in magnitude is positive
     v = vec / np.linalg.norm(vec)
-    for comp in v:
-        if abs(comp) > 1e-12:
-            if comp < 0.0:
-                v = -v
-            break
-    return v
+    lead = v[np.abs(v) > 1e-12]
+    return -v if lead.size and lead[0] < 0.0 else v
 
 
 def extremal_axes(mm: MMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -175,33 +171,38 @@ _MAX_SWEEPS = 1000
 _GAIN_ROUNDOFF = 1e-13
 
 
-def _joint_diagonal_weight(a: np.ndarray) -> float:
-    # Jacobi-angle sweeps over the stack a (K x d x d), rotated in place;
-    # returns sum_k sum_i |a_kii|^2 at the end.  For each pair (p, q),
+def _joint_diagonal_weight(a: np.ndarray) -> np.ndarray:
+    # Jacobi-angle sweeps over an (S, K, d, d) stack of starts, rotated in
+    # place; returns sum_k sum_i |a_kii|^2 per start.  For each pair (p, q),
     # sum_k |a_kpp - a_kqq|^2 after a rotation is v^T G v for a unit v in R^3
     # (v = e_0 for no rotation), so the top eigenvector of G gives the best one.
-    d = a.shape[1]
+    # Only starts that gain beyond round-off are rotated.  A start that a whole
+    # sweep leaves alone is a fixed point, so stop after a sweep that rotates none.
+    d = a.shape[-1]
     for _ in range(_MAX_SWEEPS):
         rotated = False
         for p in range(d - 1):
             for q in range(p + 1, d):
-                app, apq, aqp, aqq = a[:, p, p], a[:, p, q], a[:, q, p], a[:, q, q]
-                h = np.array([app - aqq, apq + aqp, 1j * (aqp - apq)])
-                g = (h @ h.conj().T).real
+                app, apq, aqp, aqq = a[..., p, p], a[..., p, q], a[..., q, p], a[..., q, q]
+                h = np.stack([app - aqq, apq + aqp, 1j * (aqp - apq)], axis=1)
+                g = (h @ h.conj().swapaxes(-1, -2)).real
                 vals, vecs = np.linalg.eigh(g)
-                if vals[-1] - g[0, 0] <= _GAIN_ROUNDOFF * vals[-1]:
+                gain = vals[:, -1] - g[:, 0, 0] > _GAIN_ROUNDOFF * vals[:, -1]
+                if not gain.any():
                     continue
-                x, y, z = vecs[:, -1] * math.copysign(1.0, vecs[0, -1])
-                c = math.sqrt((1.0 + x) / 2.0)
-                s = (y - 1j * z) / math.sqrt(2.0 * (1.0 + x))
-                rot = np.array([[c, -s.conjugate()], [s, c]])
-                a[:, [p, q], :] = rot.conj().T @ a[:, [p, q], :]
-                a[:, :, [p, q]] = a[:, :, [p, q]] @ rot
+                v = vecs[gain, :, -1]
+                x, y, z = (v * np.copysign(1.0, v[:, :1])).T
+                c = np.sqrt((1.0 + x) / 2.0)
+                s = (y - 1j * z) / np.sqrt(2.0 * (1.0 + x))
+                rot = np.stack([c, -s.conj(), s, c], axis=-1).reshape(-1, 1, 2, 2)
+                b = a[gain]
+                b[..., [p, q], :] = rot.conj().swapaxes(-1, -2) @ b[..., [p, q], :]
+                b[..., [p, q]] = b[..., [p, q]] @ rot
+                a[gain] = b
                 rotated = True
         if not rotated:
             break
-    diag = np.diagonal(a, axis1=1, axis2=2)
-    return float(np.vdot(diag, diag).real)
+    return linalg.hs_norm_sq(np.diagonal(a, axis1=-2, axis2=-1))
 
 
 def measurement_min_discord(
@@ -217,21 +218,18 @@ def measurement_min_discord(
     identity and starts - 1 Haar bases, Jacobi-angle sweeps (Cardoso &
     Souloumiac, SIAM J. Matrix Anal. Appl. 17, 161, 1996) apply the optimal
     complex Givens rotation to one pair of basis vectors at a time until no
-    pair improves.  The result is an upper bound on the distance that
-    tightens with more starts; for d_A = 2 it reproduces the closed form.
+    pair improves.  All starts are swept together as one stack, each rotated
+    only where it gains, so every start follows its own sweep sequence.  The
+    result is an upper bound on the distance that tightens with more starts;
+    for d_A = 2 it reproduces the closed form.
     """
     rng = np.random.default_rng(seed)
     d_a = rho.d_a
     rho4 = rho.mat.reshape(d_a, rho.d_b, d_a, rho.d_b)
-    unitaries = [np.eye(d_a, dtype=complex)]
-    unitaries += [linalg.haar_unitary(d_a, rng) for _ in range(max(starts - 1, 0))]
-    weight = max(
-        _joint_diagonal_weight(
-            np.einsum("ai,abcd,cj->bdij", u.conj(), rho4, u).reshape(-1, d_a, d_a)
-        )
-        for u in unitaries
-    )
-    return max(rho.purity - weight, 0.0)
+    draws = [linalg.haar_unitary(d_a, rng) for _ in range(max(starts - 1, 0))]
+    u = np.stack([np.eye(d_a, dtype=complex)] + draws)
+    blocks = np.einsum("sai,abcd,scj->sbdij", u.conj(), rho4, u).reshape(len(u), -1, d_a, d_a)
+    return max(rho.purity - float(_joint_diagonal_weight(blocks).max()), 0.0)
 
 
 def geometric_discord(

@@ -367,7 +367,7 @@ def hamiltonian_to_dict(h: LocalHamiltonian) -> dict:
 
 def hamiltonian_from_dict(data: dict) -> LocalHamiltonian:
     try:
-        d_a = int(data["dA"])
+        d_a = linalg.json_int(data["dA"])
         if "bloch_axis" in data:
             if d_a != 2:
                 raise InvalidHamiltonian("bloch_axis shorthand requires dA = 2")

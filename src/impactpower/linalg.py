@@ -156,3 +156,10 @@ def pairs_to_matrix(pairs: list[list[float]], rows: int, cols: int) -> np.ndarra
             f"got array of shape {flat.shape}"
         )
     return (flat[:, 0] + 1j * flat[:, 1]).reshape(rows, cols)
+
+
+def json_int(value) -> int:
+    """A whole number read from JSON (2 or 2.0); ValueError for 2.7, inf, true, "2" and the like."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)

@@ -163,11 +163,8 @@ def phi_plus(d: int = 2) -> np.ndarray:
 
 def swap_operator(d: int = 2) -> np.ndarray:
     """Permutation operator F = sum_{k,l} |k><l| (x) |l><k|."""
-    f = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            f[k * d + l, l * d + k] = 1.0
-    return f
+    eye = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
+    return eye.transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
 def werner(x: float) -> DensityMatrix:
@@ -250,11 +247,11 @@ class ClassicalQuantumSpec:
 
 def classical_quantum(spec: ClassicalQuantumSpec) -> DensityMatrix:
     """Assemble the zero-discord state sum_i p_i |i><i| (x) omega_i."""
-    d_a, d_b = spec.d_a, spec.d_b
-    mat = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    for p, vec, block in zip(spec.probabilities, spec.basis.T, spec.blocks):
-        mat += p * linalg.tensor(np.outer(vec, vec.conj()), block)
-    return DensityMatrix(mat, (d_a, d_b))
+    projectors = spec.basis.T[:, :, None] * spec.basis.T.conj()[:, None, :]
+    terms = spec.probabilities[:, None, None] * linalg.tensor(projectors, np.stack(spec.blocks))
+    # summed term by term from 0: add.reduce may regroup the terms and would
+    # start from the first one, signed zeros included
+    return DensityMatrix(np.add.accumulate(terms)[-1] + 0.0, (spec.d_a, spec.d_b))
 
 
 def random_state(
@@ -332,33 +329,28 @@ class BlochTwoQubit:
     t: np.ndarray
 
 
+_SIGMAS = np.stack((np.eye(2, dtype=complex),) + linalg.PAULIS)
+#: sigma_k (x) sigma_l for k, l in 0..3 with sigma_0 = 1, indexed [k, l]
+_PAULI_PRODUCTS = linalg.tensor(_SIGMAS[:, None], _SIGMAS)
+#: (k, l) of each term of the Bloch expansion, in summation order: 1, then
+#: x_i and y_i for each i, then T row by row
+_BLOCH_TERMS = ([0, 1, 0, 2, 0, 3, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3],
+                [0, 0, 1, 0, 2, 0, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3])
+
+
 def bloch_decompose(rho: DensityMatrix) -> BlochTwoQubit:
     """Pauli expectations x_i = <sigma_i (x) 1>, y_i = <1 (x) sigma_i>, T_ij = <sigma_i (x) sigma_j>."""
     if rho.dims != (2, 2):
         raise DimensionMismatch(f"Bloch decomposition needs a 2x2 system, got {rho.dims}")
-    eye2 = np.eye(2, dtype=complex)
-    x = np.array([np.trace(rho.mat @ linalg.tensor(s, eye2)).real for s in linalg.PAULIS])
-    y = np.array([np.trace(rho.mat @ linalg.tensor(eye2, s)).real for s in linalg.PAULIS])
-    t = np.array(
-        [
-            [np.trace(rho.mat @ linalg.tensor(si, sj)).real for sj in linalg.PAULIS]
-            for si in linalg.PAULIS
-        ]
-    )
-    return BlochTwoQubit(x=x, y=y, t=t)
+    e = np.trace(rho.mat @ _PAULI_PRODUCTS, axis1=-2, axis2=-1).real
+    return BlochTwoQubit(x=e[1:, 0].copy(), y=e[0, 1:].copy(), t=e[1:, 1:].copy())
 
 
 def bloch_reconstruct(b: BlochTwoQubit) -> DensityMatrix:
     """Rebuild the state (1/4)(1 + x.sigma (x) 1 + 1 (x) y.sigma + sum T_ij sigma_i (x) sigma_j)."""
-    eye2 = np.eye(2, dtype=complex)
-    mat = linalg.tensor(eye2, eye2).astype(complex)
-    for i, s in enumerate(linalg.PAULIS):
-        mat += b.x[i] * linalg.tensor(s, eye2)
-        mat += b.y[i] * linalg.tensor(eye2, s)
-    for i, si in enumerate(linalg.PAULIS):
-        for j, sj in enumerate(linalg.PAULIS):
-            mat += b.t[i, j] * linalg.tensor(si, sj)
-    return DensityMatrix(mat / 4.0, (2, 2))
+    coeffs = np.block([[np.ones((1, 1)), np.reshape(b.y, (1, 3))], [np.reshape(b.x, (3, 1)), b.t]])
+    terms = coeffs[_BLOCH_TERMS][:, None, None] * _PAULI_PRODUCTS[_BLOCH_TERMS]
+    return DensityMatrix(np.add.accumulate(terms)[-1] / 4.0, (2, 2))
 
 
 def swap_parties(rho: DensityMatrix) -> DensityMatrix:
@@ -380,7 +372,7 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 
 def state_from_dict(data: dict) -> DensityMatrix:
     try:
-        d_a, d_b = (int(v) for v in data["dims"])
+        d_a, d_b = (linalg.json_int(v) for v in data["dims"])
         mat = linalg.pairs_to_matrix(data["matrix"], d_a * d_b, d_a * d_b)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDensityMatrix(f"malformed state object: {exc}") from exc

@@ -132,7 +132,7 @@ def test_criterion_04_impact_time_profile():
             period = 2.0 * math.pi / gap
             step = period / grid_points
             ts = np.arange(1, grid_points + 1) * step
-            values = [dynamics.impact(rho, ham, float(tt)) for tt in ts]
+            values = dynamics.impact(rho, ham, ts)
             t_best = float(ts[int(np.argmax(values))])
             worst_argmax = max(worst_argmax, abs(t_best - math.pi / gap) - step)
     ok = worst_profile <= 1e-10 and worst_argmax <= 0.0

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from impactpower import cli, correlations, states
+from impactpower import cli, correlations, dynamics, states
+from impactpower.errors import InvalidDensityMatrix, InvalidHamiltonian
 
 
 @pytest.fixture
@@ -296,3 +301,98 @@ def test_seed_env_fallback(monkeypatch):
     monkeypatch.delenv("IMPACTPOWER_SEED")
     args = cli.build_parser().parse_args(["verify"])
     assert args.seed == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "random", "--samples", "2"],
+    ["verify", "--suite", "theorem3"],
+    ["compute", "state.json"],
+])
+@pytest.mark.parametrize("seed", ["-1", "abc", "1.5", ""])
+def test_bad_seed_option_exits_2_naming_the_option(capsys, argv, seed):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv + ["--seed", seed])
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert "--seed" in err and "non-negative integer" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("raw", ["abc", "-1", "2.5"])
+def test_bad_seed_environment_value_exits_2_naming_it(capsys, monkeypatch, raw):
+    monkeypatch.setenv("IMPACTPOWER_SEED", raw)
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["scan", "werner", "--grid", "3"])
+    assert excinfo.value.code == 2
+    assert "IMPACTPOWER_SEED" in capsys.readouterr().err
+    # an explicit --seed wins over the environment
+    assert cli.build_parser().parse_args(["scan", "werner", "--seed", "4"]).seed == 4
+
+
+def test_empty_seed_environment_value_means_0(monkeypatch):
+    monkeypatch.setenv("IMPACTPOWER_SEED", "")
+    assert cli.build_parser().parse_args(["compute", "state.json"]).seed == 0
+
+
+_MIXED_PAIRS = [[0.25 if k % 5 == 0 else 0.0, 0.0] for k in range(16)]
+_BAD_DIMS = {"2.7": 2.7, "inf": float("inf")}
+
+
+@pytest.mark.parametrize("d_a", sorted(_BAD_DIMS))
+def test_json_dimensions_must_be_whole_numbers(capsys, tmp_path, werner_file, d_a):
+    value = _BAD_DIMS[d_a]
+    with pytest.raises(InvalidDensityMatrix, match="whole number"):
+        states.state_from_dict({"dims": [value, 2], "matrix": _MIXED_PAIRS})
+    with pytest.raises(InvalidHamiltonian, match="whole number"):
+        dynamics.hamiltonian_from_dict({"dA": value, "bloch_axis": [0, 0, 1], "gap": 1.0})
+    raw = "1e400" if value == float("inf") else repr(value)
+    state = tmp_path / "state.json"
+    state.write_text(f'{{"dims": [{raw}, 2], "matrix": {json.dumps(_MIXED_PAIRS)}}}')
+    ham = tmp_path / "ham.json"
+    ham.write_text(f'{{"dA": {raw}, "bloch_axis": [0, 0, 1], "gap": 1.0}}')
+    for argv in (["compute", str(state)], ["compute", werner_file, "--hamiltonian", str(ham)]):
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "whole number" in err and "Traceback" not in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_NUMBER = st.integers(-2, 5) | st.floats()
+_PAIRS = st.lists(st.lists(_NUMBER, min_size=2, max_size=2) | _JSON, max_size=16)
+_STATE_LIKE = st.fixed_dictionaries(
+    {}, optional={"dims": st.lists(_NUMBER | _JSON, max_size=3), "matrix": _PAIRS | _JSON}
+)
+_HAMILTONIAN_LIKE = st.fixed_dictionaries(
+    {},
+    optional={
+        "dA": _NUMBER | _JSON,
+        "energies": st.lists(_NUMBER, max_size=3) | _JSON,
+        "projectors": st.lists(_PAIRS, max_size=3) | _JSON,
+        "bloch_axis": st.lists(_NUMBER, max_size=4) | _JSON,
+        "gap": _NUMBER | _JSON,
+    },
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    which=st.sampled_from(["state", "hamiltonian"]),
+    text=(_JSON | _STATE_LIKE | _HAMILTONIAN_LIKE).map(json.dumps) | st.text(max_size=8),
+)
+@example(which="state", text='{"dims": [2.7, 2], "matrix": %s}' % json.dumps(_MIXED_PAIRS))
+@example(which="state", text='{"dims": [1e400, 2], "matrix": []}')
+@example(which="hamiltonian", text='{"dA": 2.7, "bloch_axis": [0, 0, 1], "gap": 1.0}')
+@example(which="hamiltonian", text='{"dA": 1e400, "energies": [0, 1], "projectors": []}')
+def test_compute_on_arbitrary_json_exits_0_or_2(tmp_path_factory, which, text):
+    work = tmp_path_factory.mktemp("fuzz")
+    state, ham = work / "state.json", work / "ham.json"
+    states.save_state(states.werner(0.3), state)
+    (state if which == "state" else ham).write_text(text)
+    argv = ["compute", str(state), "--time-samples", "4"]
+    if which == "hamiltonian":
+        argv += ["--hamiltonian", str(ham)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) in (0, 2)

@@ -1,3 +1,7 @@
+import copy
+import functools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +76,23 @@ def test_extremal_axes_attain_extrema(rng):
     p_min, p_max = correlations.p_extrema(rho)
     assert abs(dephasing_distance(rho, axis_min) - p_min) <= 1e-10
     assert abs(dephasing_distance(rho, axis_max) - p_max) <= 1e-10
+
+
+def _reference_canonical_axis(vec):
+    v = vec / np.linalg.norm(vec)
+    for comp in v:
+        if abs(comp) > 1e-12:
+            if comp < 0.0:
+                v = -v
+            break
+    return v
+
+
+def test_canonical_axis_matches_entry_loop_bit_for_bit(rng):
+    vecs = [rng.standard_normal(3) for _ in range(50)]
+    vecs += [np.array(v) for v in ([0.0, -1.0, 2.0], [1e-13, -2.0, 0.0], [-1e-13, 3.0, -1.0], [-0.0, 0.0, -5.0])]
+    for v in vecs:
+        assert correlations._canonical_axis(v).tobytes() == _reference_canonical_axis(v).tobytes()
 
 
 def test_extremal_axes_deterministic_under_ties():
@@ -170,6 +191,96 @@ def test_measurement_min_discord_local_unitary_invariance(seed, rank):
     assert abs(
         correlations.measurement_min_discord(rho) - correlations.measurement_min_discord(rotated)
     ) <= 1e-9
+
+
+def _reference_joint_diagonal_weight(a):
+    # the one-start solver: Jacobi-angle sweeps over one (K, d, d) stack
+    d = a.shape[1]
+    for _ in range(correlations._MAX_SWEEPS):
+        rotated = False
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                app, apq, aqp, aqq = a[:, p, p], a[:, p, q], a[:, q, p], a[:, q, q]
+                h = np.array([app - aqq, apq + aqp, 1j * (aqp - apq)])
+                g = (h @ h.conj().T).real
+                vals, vecs = np.linalg.eigh(g)
+                if vals[-1] - g[0, 0] <= correlations._GAIN_ROUNDOFF * vals[-1]:
+                    continue
+                x, y, z = vecs[:, -1] * math.copysign(1.0, vecs[0, -1])
+                c = math.sqrt((1.0 + x) / 2.0)
+                s = (y - 1j * z) / math.sqrt(2.0 * (1.0 + x))
+                rot = np.array([[c, -s.conjugate()], [s, c]])
+                a[:, [p, q], :] = rot.conj().T @ a[:, [p, q], :]
+                a[:, :, [p, q]] = a[:, :, [p, q]] @ rot
+                rotated = True
+        if not rotated:
+            break
+    diag = np.diagonal(a, axis1=1, axis2=2)
+    return float(np.vdot(diag, diag).real)
+
+
+def _reference_min_discord(rho, starts, seed):
+    # every start swept on its own, then the best weight over starts
+    rng = np.random.default_rng(seed)
+    d_a = rho.d_a
+    rho4 = rho.mat.reshape(d_a, rho.d_b, d_a, rho.d_b)
+    unitaries = [np.eye(d_a, dtype=complex)]
+    unitaries += [linalg.haar_unitary(d_a, rng) for _ in range(max(starts - 1, 0))]
+    weights = [
+        _reference_joint_diagonal_weight(
+            np.einsum("ai,abcd,cj->bdij", u.conj(), rho4, u).reshape(-1, d_a, d_a)
+        )
+        for u in unitaries
+    ]
+    return max(rho.purity - max(weights), 0.0), weights
+
+
+@functools.cache
+def _discord_cases():
+    # (rho, starts, seed generator): criterion-6 states with the generator the
+    # criterion hands on, every rank of 3x2, 3x3, 4x2, 5x2, 4x3 and 3x1, and
+    # the maximally mixed qutrit-qubit state
+    cases = []
+    for i in range(66):
+        rng = np.random.default_rng([6, i])
+        rho = states.random_state((3, 2), seed=rng)
+        while True:
+            z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+            if dynamics.LocalHamiltonian.from_matrix((z + z.conj().T) / 2.0).fully_nondegenerate:
+                break
+        cases.append((rho, 8, rng))
+    n = 0
+    for dims, per_rank in (((3, 2), 4), ((3, 3), 4), ((4, 2), 3), ((5, 2), 1), ((4, 3), 2), ((3, 1), 4)):
+        for rank in range(1, dims[0] * dims[1] + 1):
+            for _ in range(per_rank):
+                rho = states.random_state(dims, rank=rank, seed=[16, n])
+                cases.append((rho, (1, 2, 8, 12)[n % 4], np.random.default_rng([17, n])))
+                n += 1
+    mixed = states.DensityMatrix(np.eye(6) / 6, (3, 2))
+    cases += [(mixed, starts, np.random.default_rng(starts)) for starts in (1, 2, 8, 12)]
+    return cases
+
+
+@pytest.mark.parametrize("max_sweeps", [correlations._MAX_SWEEPS, 2])
+def test_measurement_min_discord_stack_matches_per_start_sweeps_bit_for_bit(monkeypatch, max_sweeps):
+    monkeypatch.setattr(correlations, "_MAX_SWEEPS", max_sweeps)
+    sweep = correlations._joint_diagonal_weight
+    calls = []
+
+    def spy(a):
+        calls.append(sweep(a))
+        return calls[-1]
+
+    monkeypatch.setattr(correlations, "_joint_diagonal_weight", spy)
+    cases = _discord_cases()
+    assert len(cases) >= 200
+    for k, (rho, starts, rng) in enumerate(cases):
+        expected, weights = _reference_min_discord(rho, starts, copy.deepcopy(rng))
+        calls.clear()
+        value = correlations.measurement_min_discord(rho, starts=starts, seed=copy.deepcopy(rng))
+        assert len(calls) == 1, k
+        assert calls[0].tobytes() == np.array(weights).tobytes(), k
+        assert np.float64(value).tobytes() == np.float64(expected).tobytes(), k
 
 
 def _reference_p_extrema(rho):

@@ -284,6 +284,91 @@ def test_bloch_requires_two_qubits():
         states.bloch_decompose(states.random_state((2, 3), seed=0))
 
 
+def _reference_bloch_decompose(rho):
+    # one tensor product and one trace per Pauli expectation
+    eye2 = np.eye(2, dtype=complex)
+    x = np.array([np.trace(rho.mat @ linalg.tensor(s, eye2)).real for s in linalg.PAULIS])
+    y = np.array([np.trace(rho.mat @ linalg.tensor(eye2, s)).real for s in linalg.PAULIS])
+    t = np.array(
+        [
+            [np.trace(rho.mat @ linalg.tensor(si, sj)).real for sj in linalg.PAULIS]
+            for si in linalg.PAULIS
+        ]
+    )
+    return states.BlochTwoQubit(x=x, y=y, t=t)
+
+
+def _reference_bloch_reconstruct(b):
+    # the expansion summed term by term: 1, then x_i and y_i for each i, then T
+    eye2 = np.eye(2, dtype=complex)
+    mat = linalg.tensor(eye2, eye2).astype(complex)
+    for i, s in enumerate(linalg.PAULIS):
+        mat += b.x[i] * linalg.tensor(s, eye2)
+        mat += b.y[i] * linalg.tensor(eye2, s)
+    for i, si in enumerate(linalg.PAULIS):
+        for j, sj in enumerate(linalg.PAULIS):
+            mat += b.t[i, j] * linalg.tensor(si, sj)
+    return states.DensityMatrix(mat / 4.0, (2, 2))
+
+
+def _reference_classical_quantum(spec):
+    mat = np.zeros((spec.d_a * spec.d_b,) * 2, dtype=complex)
+    for p, vec, block in zip(spec.probabilities, spec.basis.T, spec.blocks):
+        mat += p * linalg.tensor(np.outer(vec, vec.conj()), block)
+    return states.DensityMatrix(mat, (spec.d_a, spec.d_b))
+
+
+def _reference_swap_operator(d):
+    f = np.zeros((d * d, d * d), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            f[k * d + l, l * d + k] = 1.0
+    return f
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_bloch_data_match_per_pauli_loops_bit_for_bit():
+    mats = np.concatenate(
+        [states.random_states((2, 2), rank, [[21, rank, i] for i in range(500)]) for rank in (1, 2, 3, 4)]
+    )
+    rhos = [states.DensityMatrix(m, (2, 2), validate=False) for m in mats]
+    rhos += [states.werner(x) for x in (-1.0, 0.0, 0.5, 1.0)]
+    rhos += [states.from_pure(np.eye(4)[k], (2, 2)) for k in range(4)]
+    rhos += [states.from_pure(states.phi_plus(2), (2, 2)), states.DensityMatrix(np.eye(4) / 4, (2, 2))]
+    for k, rho in enumerate(rhos):
+        b, ref = states.bloch_decompose(rho), _reference_bloch_decompose(rho)
+        assert all(_same_bits(getattr(b, f), getattr(ref, f)) for f in "xyt"), k
+        back = states.bloch_reconstruct(b).mat
+        assert _same_bits(back, _reference_bloch_reconstruct(b).mat), k
+
+
+def test_classical_quantum_matches_per_block_loop_bit_for_bit():
+    specs = [
+        states.random_cq_spec((d_a, d_b), n_blocks=1 + i % d_a, seed=[22, d_a, d_b, i])
+        for d_a in (2, 3, 4)
+        for d_b in (1, 2, 3)
+        for i in range(56)
+    ]
+    # exact zeros in the basis times negative block entries make -0.0 terms
+    negative = np.array([[0.6, -0.2], [-0.2, 0.4]])
+    for blocks in ((np.eye(2) / 2, np.diag([1.0, 0.0])), (negative, negative)):
+        specs.append(states.ClassicalQuantumSpec(np.array([0.25, 0.75]), np.eye(2, dtype=complex), blocks))
+    assert len(specs) >= 500
+    for k, spec in enumerate(specs):
+        omega = states.classical_quantum(spec)
+        ref = _reference_classical_quantum(spec)
+        assert omega.dims == ref.dims and _same_bits(omega.mat, ref.mat), k
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_swap_operator_matches_entry_loop_bit_for_bit(d):
+    assert _same_bits(states.swap_operator(d), _reference_swap_operator(d))
+
+
 def test_swap_parties_swaps_marginals():
     rho = states.random_state((2, 3), seed=9)
     swapped = states.swap_parties(rho)
