@@ -141,6 +141,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
             return _fail(f"cannot parse --dims {args.dims!r}, expected like 2x2")
         if d_a != 2:
             return _fail("random scans need d_A = 2 (closed forms apply to qubit A)")
+        if d_b < 1:
+            return _fail(f"--dims {args.dims!r} needs d_B >= 1")
         if args.samples < 1:
             return _fail("--samples must be positive")
         rank = args.rank if args.rank else d_a * d_b

@@ -147,10 +147,10 @@ class LocalHamiltonian:
         return _level_sum(self.energies, self.projectors)
 
     @classmethod
-    def from_matrix(cls, h: np.ndarray, tol: float = 1e-9) -> "LocalHamiltonian":
+    def from_matrix(cls, h: np.ndarray) -> "LocalHamiltonian":
         """Spectral decomposition of a Hermitian matrix, merging close eigenvalues."""
         h = np.asarray(h, dtype=complex)
-        eig = linalg.hermitian_eigendecompose(h, tol=tol)
+        eig = linalg.hermitian_eigendecompose(h)
         vecs = eig.eigenvectors.T
         rank_one = vecs[:, :, None] * vecs.conj()[:, None, :]
         return cls(*_merge_levels(eig.eigenvalues, rank_one, _gap_tol(eig.eigenvalues)))

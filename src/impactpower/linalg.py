@@ -24,7 +24,7 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-#: default absolute tolerance on max entrywise deviation from A = A^dagger
+#: absolute tolerance on max entrywise deviation from A = A^dagger
 HERMITICITY_TOL = 1e-9
 
 
@@ -77,18 +77,18 @@ def hs_norm_sq(a: np.ndarray) -> float | np.ndarray:
     return np.vecdot(flat, flat).real
 
 
-def trace_norm(a: np.ndarray, tol: float = HERMITICITY_TOL) -> float | np.ndarray:
+def trace_norm(a: np.ndarray) -> float | np.ndarray:
     """Trace norm of a Hermitian matrix, the sum of |eigenvalue|.
 
     A ``(..., n, n)`` stack gives one norm per matrix.
     """
-    magnitudes = np.abs(hermitian_eigenvalues(a, tol=tol))
+    magnitudes = np.abs(hermitian_eigenvalues(a))
     if magnitudes.ndim == 1:
         return float(np.sum(magnitudes))
     return np.sum(magnitudes, axis=-1)
 
 
-def hermitian_eigendecompose(a: np.ndarray, tol: float = HERMITICITY_TOL):
+def hermitian_eigendecompose(a: np.ndarray):
     """Eigendecompose a Hermitian matrix with LAPACK (``numpy.linalg.eigh``).
 
     Returns numpy's ``EighResult``: ``eigenvalues`` real and ascending,
@@ -96,19 +96,19 @@ def hermitian_eigendecompose(a: np.ndarray, tol: float = HERMITICITY_TOL):
     A = V diag(w) V^dagger.  The solver sees the exact Hermitian part
     (A + A^dagger)/2.  Raises DimensionMismatch unless A is square,
     ImpactPowerError if an entry is non-finite, NotHermitian if any entry of
-    A - A^dagger exceeds ``tol`` in magnitude, and NoConvergence if LAPACK
-    reports that it did not converge.
+    A - A^dagger exceeds ``HERMITICITY_TOL`` in magnitude, and NoConvergence
+    if LAPACK reports that it did not converge.
     """
-    return _lapack(np.linalg.eigh, _checked_hermitian_part(a, tol))
+    return _lapack(np.linalg.eigh, _checked_hermitian_part(a))
 
 
-def hermitian_eigenvalues(a: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(a: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix (no eigenvectors).
 
     A ``(..., n, n)`` stack gives ``(..., n)`` eigenvalues after the same
     checks on every matrix; each row equals the call on that matrix alone.
     """
-    return _lapack(np.linalg.eigvalsh, _checked_hermitian_part(a, tol))
+    return _lapack(np.linalg.eigvalsh, _checked_hermitian_part(a))
 
 
 def _lapack(solver, work: np.ndarray):
@@ -118,7 +118,7 @@ def _lapack(solver, work: np.ndarray):
         raise NoConvergence(f"Hermitian eigensolver did not converge: {exc}") from exc
 
 
-def _checked_hermitian_part(a: np.ndarray, tol: float) -> np.ndarray:
+def _checked_hermitian_part(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
@@ -126,9 +126,10 @@ def _checked_hermitian_part(a: np.ndarray, tol: float) -> np.ndarray:
         raise ImpactPowerError("matrix has non-finite entries (NaN or inf)")
     a_dag = a.conj().swapaxes(-1, -2)
     dev = float(np.abs(a - a_dag).max())
-    if dev > tol:
+    if dev > HERMITICITY_TOL:
         raise NotHermitian(
-            f"matrix is not Hermitian: max |A - A^dagger| = {dev:.3e} exceeds {tol:.1e}"
+            f"matrix is not Hermitian: max |A - A^dagger| = {dev:.3e} "
+            f"exceeds {HERMITICITY_TOL:.1e}"
         )
     return (a + a_dag) / 2.0
 

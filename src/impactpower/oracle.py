@@ -150,11 +150,9 @@ def _refine_axis(
     objective: Callable[[np.ndarray], np.ndarray],
     axis: np.ndarray,
     minimize: bool = True,
-    step0: float = _ANGLE_STEP0,
-    step_min: float = _ANGLE_STEP_MIN,
 ) -> tuple[float, np.ndarray]:
     """Derivative-free descent on the sphere: rotate towards tangent directions,
-    halving the step angle from ``step0`` down to ``step_min``.
+    halving the step angle from ``_ANGLE_STEP0`` down to ``_ANGLE_STEP_MIN``.
 
     ``objective`` maps an ``(N, 3)`` stack of axes to N values.
     """
@@ -164,8 +162,8 @@ def _refine_axis(
         return sign * objective(axes)
 
     best = float(signed(axis[None])[0])
-    step = step0
-    while step > step_min:
+    step = _ANGLE_STEP0
+    while step > _ANGLE_STEP_MIN:
         axis, best, improved = _first_improvement(signed, _sphere_moves(axis, step), axis, best, 4)
         if not improved:
             step *= 0.5

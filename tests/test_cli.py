@@ -230,6 +230,10 @@ def test_scan_rejects_bad_dims(capsys):
     code, _, err = run(capsys, ["scan", "random", "--dims", "3x2"])
     assert code == 2
     assert "d_A = 2" in err
+    for dims in ("2x0", "2x-1"):
+        code, out, err = run(capsys, ["scan", "random", "--dims", dims])
+        assert (code, out) == (2, "")
+        assert "--dims" in err and "d_B >= 1" in err and "--rank" not in err
 
 
 def test_scan_rejects_unknown_family():
