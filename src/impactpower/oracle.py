@@ -174,7 +174,8 @@ def _golden_steps(lo: float, hi: float, tol: float) -> Generator[float, float, t
     """Golden-section maximization on [lo, hi] as a coroutine.
 
     Yields each abscissa and receives the objective value there; returns
-    (best value, its abscissa) once the bracket is no wider than ``tol``.
+    (best value, its abscissa) once the bracket is no wider than ``tol``, or
+    once a round leaves it no narrower (the float spacing exceeds ``tol``).
     """
     a, b = lo, hi
     x1 = b - _INV_PHI * (b - a)
@@ -182,6 +183,7 @@ def _golden_steps(lo: float, hi: float, tol: float) -> Generator[float, float, t
     f1 = yield x1
     f2 = yield x2
     while b - a > tol:
+        width = b - a
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_PHI * (b - a)
@@ -190,6 +192,8 @@ def _golden_steps(lo: float, hi: float, tol: float) -> Generator[float, float, t
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_PHI * (b - a)
             f1 = yield x1
+        if b - a >= width:
+            break
     return (f1, x1) if f1 >= f2 else (f2, x2)
 
 

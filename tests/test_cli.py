@@ -114,6 +114,17 @@ def test_compute_bell_with_hamiltonian(capsys, bell_file, z_hamiltonian_file):
     assert all(row["trace_impact"] >= row["impact"] - 1e-10 for row in profile)
 
 
+def test_compute_finishes_for_a_tiny_level_gap(capsys, tmp_path):
+    state, ham = tmp_path / "s.json", tmp_path / "h.json"
+    states.save_state(states.random_state((3, 2), seed=0), state)
+    levels = np.diag([0.0, 1.0, 1.0 + 1e-7])
+    dynamics.save_hamiltonian(dynamics.LocalHamiltonian.from_matrix(levels), ham)
+    code, out, _ = run(capsys, ["compute", str(state), "--hamiltonian", str(ham)])
+    assert code == 0
+    power = json.loads(out)["impact_power"]
+    assert math.isfinite(power["value"]) and 0.0 < power["value"] <= power["upper_bound"]
+
+
 def test_scan_werner_saturation(capsys):
     code, out, _ = run(capsys, ["scan", "werner", "--grid", "11"])
     assert code == 0

@@ -205,6 +205,36 @@ def test_impact_power_energy_shift_and_scale_invariance(rng):
     assert abs(p - dynamics.impact_power(rho, scaled)) <= 1e-10
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    d_a=st.integers(min_value=2, max_value=4),
+    shift=st.floats(min_value=-100.0, max_value=100.0),
+    scale=st.floats(min_value=0.25, max_value=4.0),
+    flip=st.booleans(),
+)
+def test_impact_power_under_energy_shift_and_scale(seed, d_a, shift, scale, flip):
+    rng = np.random.default_rng(seed)
+    base = dynamics.LocalHamiltonian.from_matrix(random_hermitian(rng, d_a))
+    assume(float(np.min(np.diff(base.energies))) > 1e-2)
+    rho = states.random_state((d_a, 2), seed=rng)
+    p = dynamics.impact_power(rho, base)
+    shifted = dynamics.LocalHamiltonian(base.energies + shift, base.projectors)
+    assert abs(dynamics.impact_power(rho, shifted) - p) <= 1e-10
+    scaled = dynamics.LocalHamiltonian(base.energies * (-scale if flip else scale), base.projectors)
+    res = dynamics.impact_power_result(rho, scaled)
+    assert abs(res.value - p) <= 1e-10
+    # mirror-image maxima make t_max ambiguous: check the value attained there
+    assert abs(dynamics.impact(rho, scaled, res.t_max) - res.value) <= 1e-10
+
+
+def test_impact_power_finishes_for_a_tiny_level_gap():
+    # span = 2 pi / 1e-7 puts t where its float spacing exceeds the golden tolerance
+    ham = dynamics.LocalHamiltonian.from_matrix(np.diag([0.0, 1.0, 1.0 + 1e-7]))
+    res = dynamics.impact_power_result(states.random_state((3, 2), seed=0), ham)
+    assert math.isfinite(res.value) and 0.0 < res.value <= res.upper_bound
+
+
 def test_impact_power_unitary_covariance(rng):
     rho = states.random_state((2, 3), seed=rng)
     ham = random_qubit_hamiltonian(rng)
@@ -418,12 +448,39 @@ def _reference_numeric_power(rho, ham):
     return value, float(ts[best]) if value == float(values[best]) else t_best
 
 
-@pytest.mark.parametrize("d_a", [3, 4, 5])
-def test_numeric_impact_power_matches_per_pair_loop(rng, d_a):
-    # five levels give ten pairs, past the eight where numpy sums pairwise
+def _numeric_power_cases(rng, d_a):
+    """Random pairs, then pairs on which the pruned grid search is easy to get wrong."""
+    cases = []
     for _ in range(3):
         ham = dynamics.LocalHamiltonian.from_matrix(random_hermitian(rng, d_a))
-        rho = states.random_state((d_a, 2), seed=rng)
+        cases.append((states.random_state((d_a, 2), seed=rng), ham))
+    u = linalg.haar_unitary(d_a, rng)
+
+    def rotated(levels):
+        return dynamics.LocalHamiltonian.from_matrix(u @ np.diag(levels) @ u.conj().T)
+
+    g = rng.standard_normal((2 * d_a, 2 * d_a))
+    real_rho = states.DensityMatrix((g @ g.T / np.trace(g @ g.T)).astype(complex), (d_a, 2))
+    return cases + [
+        # rank one
+        (states.random_state((d_a, 2), rank=1, seed=rng), rotated(rng.uniform(-2.0, 2.0, d_a))),
+        # equally spaced levels: many maxima of equal height
+        (states.random_state((d_a, 2), seed=rng), rotated(0.3 + 1.7 * np.arange(d_a))),
+        # a real state on levels 0, 1, 2, ...: I(t) = I(span - t), ties across cells
+        (real_rho, dynamics.LocalHamiltonian.from_matrix(np.diag(np.arange(d_a, dtype=float)))),
+        # a min gap of 1e-3 beside gaps up to 50: the Lipschitz reach covers many cells
+        (
+            states.random_state((d_a, 2), rank=2, seed=rng),
+            rotated(np.concatenate([[0.0, 1e-3], rng.uniform(1.0, 50.0, d_a - 2)])),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("d_a", [3, 4, 5])
+def test_numeric_impact_power_matches_per_pair_loop(rng, d_a):
+    # five levels give ten pairs, past the eight where numpy sums pairwise; the
+    # pruned grid search must give the full grid's maximum and polish to the bit
+    for rho, ham in _numeric_power_cases(rng, d_a):
         res = dynamics.impact_power_result(rho, ham)
         assert (res.value, res.t_max) == _reference_numeric_power(rho, ham)
 

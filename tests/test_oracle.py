@@ -53,6 +53,15 @@ def test_grid_commensurate_qutrit_matches_calculus():
     assert abs(found.value - analytic) <= 1e-9
 
 
+def test_grid_finishes_for_a_tiny_level_gap():
+    # span = 2 pi / 1e-7 puts t where its float spacing exceeds the golden tolerance
+    rho = states.random_state((3, 2), seed=0)
+    ham = dynamics.LocalHamiltonian.from_matrix(np.diag([0.0, 1.0, 1.0 + 1e-7]))
+    found = oracle.impact_power_grid(rho, ham)
+    assert math.isfinite(found.value) and math.isfinite(found.t)
+    assert 0.0 < found.value <= 2.0 * dynamics.impact_coefficients(rho, ham).a
+
+
 def test_grid_monotone_under_refinement():
     rho = states.random_state((2, 2), seed=23)
     ham = dynamics.LocalHamiltonian.from_bloch_axis([0.1, -0.7, 0.7], 1.1)
