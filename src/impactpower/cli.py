@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed verification check, 2 invalid input
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -201,14 +202,34 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser; it reads IMPACTPOWER_SEED afresh at every parse.
+
+    The parser is built once per process, so the environment variable becomes
+    the string default of each ``--seed`` just before parsing, where argparse
+    converts it with ``_seed`` as it would a default given at build time.
+    """
+
+    seed_actions: list[argparse.Action]
+
+    def parse_known_args(self, args=None, namespace=None):
+        default = os.environ.get("IMPACTPOWER_SEED") or "0"
+        for action in self.seed_actions:
+            action.default = default
+        return super().parse_known_args(args, namespace)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The process's one parser, built on first use."""
+    parser = _Parser(
         prog="impactpower",
         description="Impact of local unitary evolutions and the quantum "
         "correlations it reveals.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = os.environ.get("IMPACTPOWER_SEED") or "0"
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=argparse.ArgumentParser
+    )
 
     compute = sub.add_parser(
         "compute",
@@ -225,8 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=32,
         help="points in the impact-vs-time profile (0 disables; default 32)",
     )
-    compute.add_argument("--seed", type=_seed, default=seed_default)
-    compute.set_defaults(func=cmd_compute)
+    compute_seed = compute.add_argument("--seed", type=_seed)
 
     scan = sub.add_parser("scan", help="family scan emitted as CSV")
     scan.add_argument("family", choices=["werner", "isotropic", "random"])
@@ -234,10 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--samples", type=int, default=1000, help="sample count for random")
     scan.add_argument("--dims", default="2x2", help="dims for random, like 2x2 or 2x3")
     scan.add_argument("--rank", type=int, default=0, help="rank for random (default full)")
-    scan.add_argument("--seed", type=_seed, default=seed_default)
+    scan_seed = scan.add_argument("--seed", type=_seed)
     scan.add_argument("--threads", type=int, default=1, help="ignored: work runs serially")
     scan.add_argument("--out", help="write CSV here instead of stdout")
-    scan.set_defaults(func=cmd_scan)
 
     ver = sub.add_parser("verify", help="run the verification batteries")
     ver.add_argument(
@@ -245,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         choices=["all", *verify.SUITES],
     )
-    ver.add_argument("--seed", type=_seed, default=seed_default)
+    verify_seed = ver.add_argument("--seed", type=_seed)
     ver.add_argument("--budget", default="quick", choices=["quick", "full"])
     ver.add_argument("--threads", type=int, default=1, help="ignored: work runs serially")
     ver.add_argument(
@@ -253,14 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="write each check's name, item count and elapsed_s to this JSON file",
     )
     ver.add_argument("--inject-state", help=argparse.SUPPRESS)
-    ver.set_defaults(func=cmd_verify)
 
+    parser.seed_actions = [compute_seed, scan_seed, verify_seed]
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up at each call, not bound into the cached parser, so that a
+    # wrapper installed on this module (the span tracer of bench/) sees it
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

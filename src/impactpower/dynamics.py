@@ -15,8 +15,8 @@ time-independent coefficients; for a spectrum with at most two distinct levels
 the maximum is exactly 2a at t = pi/dE, otherwise it is found numerically on a
 dense time grid and reported as a certified lower bound.  The grid search
 probes one point per cell of the grid and evaluates in full only the cells
-that a Lipschitz bound cannot rule out; it returns the full grid's argmax and
-values to the bit.
+that a per-pair reach bound cannot rule out; it returns the full grid's argmax
+and values to the bit.
 """
 
 from __future__ import annotations
@@ -322,19 +322,24 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return (f1 if f1 >= f2 else f2), t_best
 
 
-def _grid_argmax(profile, step: float, lipschitz: float, slack: float) -> tuple[int, float]:
+def _grid_argmax(
+    profile, step: float, gaps: np.ndarray, weights: np.ndarray, slack: float
+) -> tuple[int, float]:
     """First index i of the largest profile((i + 1) * step) over GRID_POINTS indices.
 
-    Probes one point per cell of GRID_CELL indices.  No point of a cell lies
-    above its probe's value + lipschitz * (largest distance to the probe) +
-    slack, so only the cells whose bound reaches the best probe are evaluated,
-    in index order: the argmax over them is the full grid's, ties included.
-    Returns the index and its value.
+    Probes one point per cell of GRID_CELL indices.  Within a distance delta a
+    pair term w (1 - cos(dE t)) moves by at most min(2|w|, |w dE| delta), so no
+    point of a cell lies above its probe's value + the sum of these reaches at
+    the largest distance to the probe + slack.  Only the cells whose bound
+    reaches the best probe are evaluated, in index order: the argmax over them
+    is the full grid's, ties included.  Returns the index and its value.
     """
     half = GRID_CELL // 2
     starts = np.arange(0, GRID_POINTS, GRID_CELL)
     probes = profile((starts + (half + 1.0)) * step)
-    reach = lipschitz * max(half, GRID_CELL - 1 - half) * step + slack
+    delta = max(half, GRID_CELL - 1 - half) * step
+    w = np.abs(weights)
+    reach = float(np.sum(np.minimum(2.0 * w, w * gaps * delta))) + slack
     kept = starts[probes + reach >= probes.max()]
     index = (kept[:, None] + np.arange(GRID_CELL)).ravel()
     values = profile((index + 1.0) * step)
@@ -375,11 +380,10 @@ def impact_power_result(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactPowerR
 
     span = 2.0 * math.pi / float(np.min(gaps))
     step = span / GRID_POINTS
-    # |dI/dt| <= sum |w dE|; the slack covers the float error of each value,
-    # mostly from rounding the argument dE t
-    lipschitz = float(np.sum(np.abs(weights * gaps)))
+    # the slack covers the float error of each value, mostly from rounding the
+    # argument dE t
     slack = PROFILE_SLACK * float(np.sum(np.abs(weights))) * (1.0 + float(np.max(gaps)) * span)
-    best, best_value = _grid_argmax(profile, step, lipschitz, slack)
+    best, best_value = _grid_argmax(profile, step, gaps, weights, slack)
     t_grid = (best + 1.0) * step  # the same float as every evaluation of grid point i
     lo = max(t_grid - step, step * 1e-6)
     hi = min(t_grid + step, span)

@@ -149,19 +149,21 @@ def _sphere_moves(axis: np.ndarray, step: float) -> Callable[[np.ndarray, int], 
 def _refine_axis(
     objective: Callable[[np.ndarray], np.ndarray],
     axis: np.ndarray,
+    value: float,
     minimize: bool = True,
 ) -> tuple[float, np.ndarray]:
     """Derivative-free descent on the sphere: rotate towards tangent directions,
     halving the step angle from ``_ANGLE_STEP0`` down to ``_ANGLE_STEP_MIN``.
 
-    ``objective`` maps an ``(N, 3)`` stack of axes to N values.
+    ``objective`` maps an ``(N, 3)`` stack of axes to N values, and ``value``
+    is its value at the start ``axis``, as the sampling pass computed it.
     """
     sign = 1.0 if minimize else -1.0
 
     def signed(axes: np.ndarray) -> np.ndarray:
         return sign * objective(axes)
 
-    best = float(signed(axis[None])[0])
+    best = sign * value
     step = _ANGLE_STEP0
     while step > _ANGLE_STEP_MIN:
         axis, best, improved = _first_improvement(signed, _sphere_moves(axis, step), axis, best, 4)
@@ -328,8 +330,9 @@ def p_min_search(
         return _dephasing_distances(rho, axes)
 
     axes = fibonacci_sphere_axes(samples, seed=seed, jitter=0.5)
-    best = int(np.argmin(_chunked(objective, axes)))
-    value, axis = _refine_axis(objective, axes[best], minimize=True)
+    values = _chunked(objective, axes)
+    best = int(np.argmin(values))
+    value, axis = _refine_axis(objective, axes[best], float(values[best]), minimize=True)
     return AxisSearch(value=value, axis=axis)
 
 
@@ -361,8 +364,9 @@ def p_max_search(
         return _qubit_impact_powers(rho, axes, grid_points)
 
     axes = fibonacci_sphere_axes(samples, seed=seed, jitter=0.5)
-    best = int(np.argmax(_chunked(objective, axes)))
-    value, axis = _refine_axis(objective, axes[best], minimize=False)
+    values = _chunked(objective, axes)
+    best = int(np.argmax(values))
+    value, axis = _refine_axis(objective, axes[best], float(values[best]), minimize=False)
     return AxisSearch(value=value, axis=axis)
 
 

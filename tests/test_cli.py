@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -346,6 +347,64 @@ def test_bad_seed_environment_value_exits_2_naming_it(capsys, monkeypatch, raw):
 def test_empty_seed_environment_value_means_0(monkeypatch):
     monkeypatch.setenv("IMPACTPOWER_SEED", "")
     assert cli.build_parser().parse_args(["compute", "state.json"]).seed == 0
+
+
+def test_ten_calls_build_one_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(10):
+        assert run(capsys, ["scan", "werner", "--grid", "3"])[0] == 0
+    assert cli.build_parser() is cli.build_parser()
+    # the top-level parser and one parser per subcommand, each built once
+    assert built.count("impactpower") == 1 and len(built) == 4
+
+
+def test_seed_environment_is_read_at_every_call(capsys, monkeypatch):
+    argv = ["scan", "random", "--samples", "3"]
+    from_env = {}
+    for seed in ("3", "5"):
+        monkeypatch.setenv("IMPACTPOWER_SEED", seed)
+        from_env[seed] = run(capsys, argv)
+    monkeypatch.delenv("IMPACTPOWER_SEED")
+    for seed in ("3", "5"):
+        assert from_env[seed] == run(capsys, argv + ["--seed", seed])
+    assert from_env["3"][1] != from_env["5"][1]
+
+
+def test_bad_seed_environment_value_after_a_good_call_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("IMPACTPOWER_SEED", "3")
+    assert run(capsys, ["scan", "werner", "--grid", "3"])[0] == 0
+    monkeypatch.setenv("IMPACTPOWER_SEED", "x3")
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["scan", "werner", "--grid", "3"])
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert "IMPACTPOWER_SEED" in err and "'x3'" in err
+
+
+#: stdout, stderr and exit code of each command line, as the CLI gave them when it
+#: still built a new parser for every call; 80 columns, IMPACTPOWER_SEED unset
+_FROZEN_TEXT = json.loads((Path(__file__).parent / "data" / "cli_text.json").read_text())
+
+
+@pytest.mark.parametrize("case", _FROZEN_TEXT, ids=lambda case: " ".join(case["argv"]) or "(none)")
+def test_help_usage_and_errors_match_frozen_text(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("IMPACTPOWER_SEED", raising=False)
+    for _ in range(2):  # the second call reuses the parser of the first
+        try:
+            code = cli.main(case["argv"])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
 
 
 _MIXED_PAIRS = [[0.25 if k % 5 == 0 else 0.0, 0.0] for k in range(16)]

@@ -332,6 +332,21 @@ def test_p_extrema_order_property(seed, d_b, rank):
     assert np.all(p_max <= purity + 1e-10)
 
 
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    d_b=st.integers(min_value=2, max_value=4),
+    rank=st.integers(min_value=1, max_value=8),
+)
+def test_p_extrema_local_unitary_invariance(seed, d_b, rank):
+    # U_A only relabels the axes of H_A, and U_B leaves every norm alone
+    rng = np.random.default_rng(seed)
+    rho = states.random_state((2, d_b), rank=min(rank, 2 * d_b), seed=rng)
+    u = linalg.tensor(linalg.haar_unitary(2, rng), linalg.haar_unitary(d_b, rng))
+    rotated = states.DensityMatrix(u @ rho.mat @ u.conj().T, (2, d_b))
+    assert np.allclose(correlations.p_extrema(rotated), correlations.p_extrema(rho), rtol=0.0, atol=1e-10)
+
 def test_k_matrix_examples():
     assert abs(correlations.k_matrix_discord(states.DensityMatrix(np.eye(4) / 4, (2, 2)))) <= 1e-12
     assert abs(correlations.k_matrix_discord(bell_state()) - 0.5) <= 1e-12

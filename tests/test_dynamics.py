@@ -468,11 +468,19 @@ def _numeric_power_cases(rng, d_a):
         (states.random_state((d_a, 2), seed=rng), rotated(0.3 + 1.7 * np.arange(d_a))),
         # a real state on levels 0, 1, 2, ...: I(t) = I(span - t), ties across cells
         (real_rho, dynamics.LocalHamiltonian.from_matrix(np.diag(np.arange(d_a, dtype=float)))),
-        # a min gap of 1e-3 beside gaps up to 50: the Lipschitz reach covers many cells
+        # a min gap of 1e-3 beside gaps up to 50: the fast pairs' reach covers many cells
         (
             states.random_state((d_a, 2), rank=2, seed=rng),
             rotated(np.concatenate([[0.0, 1e-3], rng.uniform(1.0, 50.0, d_a - 2)])),
         ),
+    ] + [
+        # a min gap of 1e-3 beside gaps of 0.05 to 1: a half cell is ~pi long,
+        # so a pair with dE below 2 / pi reaches |w dE| pi, not only |w dE|
+        (
+            states.random_state((d_a, 2), seed=rng),
+            rotated(np.concatenate([[0.0, 1e-3], rng.uniform(0.05, 1.0, d_a - 2)])),
+        )
+        for _ in range(6)
     ]
 
 
@@ -483,6 +491,34 @@ def test_numeric_impact_power_matches_per_pair_loop(rng, d_a):
     for rho, ham in _numeric_power_cases(rng, d_a):
         res = dynamics.impact_power_result(rho, ham)
         assert (res.value, res.t_max) == _reference_numeric_power(rho, ham)
+
+
+@pytest.mark.parametrize("d_a", [3, 4, 5])
+def test_pruned_grid_skips_cells_beside_fast_pairs(monkeypatch, d_a):
+    # levels 0 and 1e-3 carry most of the weight, beside gaps of 1 to 50: a
+    # fast pair's term can reach at most its own range within a cell, so the
+    # slow pair still rules out cells
+    evaluated = []
+    search = dynamics._grid_argmax
+
+    def counting(profile, *args):
+        def counted(ts):
+            evaluated.append(ts.size)
+            return profile(ts)
+
+        return search(counted, *args)
+
+    monkeypatch.setattr(dynamics, "_grid_argmax", counting)
+    psi = np.concatenate([[1.0, 1.0], np.full(d_a - 2, 0.3)])
+    psi = np.kron(psi / np.linalg.norm(psi), [1.0, 0.0]).astype(complex)
+    mat = 0.9 * np.outer(psi, psi.conj()) + 0.1 * np.eye(2 * d_a) / (2 * d_a)
+    rho = states.DensityMatrix(mat, (d_a, 2))
+    levels = np.concatenate([[0.0, 1e-3], np.linspace(1.0, 50.0, d_a - 2)])
+    ham = dynamics.LocalHamiltonian.from_matrix(np.diag(levels))
+    res = dynamics.impact_power_result(rho, ham)
+    assert (res.value, res.t_max) == _reference_numeric_power(rho, ham)
+    # probes, grid points and the golden polish together
+    assert sum(evaluated) < dynamics.GRID_POINTS
 
 
 def test_merge_levels_groups_by_first_energy():

@@ -265,7 +265,7 @@ def _sphere_bowl(axes):
 def test_stacked_refine_matches_sequential_loop(minimize):
     for start in oracle.fibonacci_sphere_axes(6, seed=1, jitter=0.5):
         expected = _sequential_refine_axis(_sphere_bowl, start, minimize=minimize)
-        found = oracle._refine_axis(_sphere_bowl, start, minimize=minimize)
+        found = oracle._refine_axis(_sphere_bowl, start, float(_sphere_bowl(start)), minimize=minimize)
         assert found[0] == expected[0]
         assert np.array_equal(found[1], expected[1])
         assert not np.array_equal(found[1], start)

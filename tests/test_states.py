@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from impactpower import linalg, states
 from impactpower.errors import (
@@ -410,6 +412,21 @@ def test_state_json_roundtrip(tmp_path):
     assert back.dims == rho.dims
     assert np.max(np.abs(back.mat - rho.mat)) <= 1e-12
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    dims=st.tuples(st.integers(min_value=2, max_value=3), st.integers(min_value=2, max_value=3)),
+    rank=st.integers(min_value=1, max_value=9),
+)
+def test_state_dict_round_trip_within_a_few_ulps(seed, dims, rank):
+    # not bit-exact: validation divides by a trace that is 1 only to an ulp and
+    # re-clamps slightly negative eigenvalues of rank-deficient states
+    rho = states.random_state(dims, rank=min(rank, dims[0] * dims[1]), seed=seed)
+    back = states.state_from_dict(states.state_to_dict(rho))
+    assert back.dims == rho.dims
+    assert np.max(np.abs(back.mat - rho.mat)) <= 4 * np.finfo(float).eps
 
 def test_state_from_dict_rejects_malformed():
     with pytest.raises(InvalidDensityMatrix):
