@@ -46,12 +46,16 @@ def _fail(message: str) -> int:
 # --- compute ----------------------------------------------------------------
 
 
+#: what reading an input file can raise, besides an ImpactPowerError on its contents
+_READ_ERRORS = (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError)
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
     try:
         rho = states.load_state(args.state_file)
     except ImpactPowerError as exc:
         return _fail(f"invalid state file {args.state_file!r}: {exc}")
-    except (OSError, json.JSONDecodeError) as exc:
+    except _READ_ERRORS as exc:
         return _fail(f"cannot parse state file {args.state_file!r}: {exc}")
 
     rep = correlations.report(rho, seed=args.seed)
@@ -62,13 +66,14 @@ def cmd_compute(args: argparse.Namespace) -> int:
 
     if args.hamiltonian is not None:
         try:
-            ham = dynamics.load_hamiltonian(args.hamiltonian)
+            try:
+                ham = dynamics.load_hamiltonian(args.hamiltonian)
+            except _READ_ERRORS as exc:
+                return _fail(f"cannot parse hamiltonian file {args.hamiltonian!r}: {exc}")
             res = dynamics.impact_power_result(rho, ham)
             profile = _impact_profile(rho, ham, args.time_samples)
         except ImpactPowerError as exc:
             return _fail(f"invalid hamiltonian file {args.hamiltonian!r}: {exc}")
-        except (OSError, json.JSONDecodeError) as exc:
-            return _fail(f"cannot parse hamiltonian file {args.hamiltonian!r}: {exc}")
         out["hamiltonian"] = {
             "dA": ham.d_a,
             "energies": [float(e) for e in ham.energies],
@@ -94,9 +99,7 @@ def _impact_profile(
     """Impact and trace impact at samples + 1 times over one slowest period."""
     if ham.trivial or samples <= 0:
         return []
-    levels, _ = ham.distinct_levels()
-    span = 2.0 * math.pi / float(np.min(np.diff(levels)))
-    ts = np.arange(samples + 1) * span / samples
+    ts = np.arange(samples + 1) * ham.period / samples
     columns = (ts, dynamics.impact(rho, ham, ts), dynamics.trace_impact(rho, ham, ts))
     return [
         {"t": t, "impact": i, "trace_impact": x}
@@ -157,8 +160,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
     text = "\n".join([CSV_HEADER] + rows) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _fail(f"cannot write CSV file {args.out!r}: {exc}")
     else:
         sys.stdout.write(text)
     return 0

@@ -86,14 +86,15 @@ class LocalHamiltonian:
     """Hermitian operator on A stored as energies plus orthogonal projectors.
 
     ``projectors`` is stored as one ``(L, d_A, d_A)`` complex array, row l
-    projecting onto the eigenspace of ``energies[l]``.
+    projecting onto the eigenspace of ``energies[l]``.  Both are read-only
+    copies of the arrays passed in.
     """
 
     energies: np.ndarray
     projectors: np.ndarray
 
     def __post_init__(self) -> None:
-        energies = np.asarray(self.energies, dtype=float).reshape(-1)
+        energies = np.array(self.energies, dtype=float).reshape(-1)
         count = len(self.projectors)
         if energies.size != count or count == 0:
             raise DimensionMismatch(
@@ -101,7 +102,7 @@ class LocalHamiltonian:
                 f"and {count} projectors"
             )
         try:
-            projectors = np.asarray(self.projectors, dtype=complex)
+            projectors = np.array(self.projectors, dtype=complex)
         except ValueError as exc:  # ragged: numpy cannot stack them
             raise DimensionMismatch("projectors have inconsistent shapes") from exc
         if projectors.ndim != 3 or projectors.shape[1] != projectors.shape[2]:
@@ -110,6 +111,12 @@ class LocalHamiltonian:
             raise InvalidHamiltonian("energies have non-finite (NaN or inf) entries")
         if not np.all(np.isfinite(projectors)):
             raise InvalidHamiltonian("projectors have non-finite (NaN or inf) entries")
+        skew = np.abs(projectors - projectors.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        bad = np.flatnonzero(skew > PROJECTOR_TOL)
+        if bad.size:
+            raise InvalidHamiltonian(
+                f"projector {bad[0]} violates Pi = Pi^dagger within {PROJECTOR_TOL:.1e}"
+            )
         # Pi_i Pi_j - delta_ij Pi_i for every pair (i, j) from one stacked product
         defect = projectors[:, None] @ projectors
         diag = np.arange(count)
@@ -126,28 +133,46 @@ class LocalHamiltonian:
             raise InvalidHamiltonian(
                 f"projectors do not resolve the identity within {PROJECTOR_TOL:.1e}"
             )
-        object.__setattr__(self, "energies", energies)
-        object.__setattr__(self, "projectors", projectors)
+        # private read-only copies: the levels merged from them are cached
+        for name, array in (("energies", energies), ("projectors", projectors)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def d_a(self) -> int:
         return self.projectors.shape[1]
 
-    @property
-    def gap_tol(self) -> float:
-        return _gap_tol(self.energies)
-
-    @property
-    def nondegenerate(self) -> bool:
-        """True if all stored energies are pairwise separated by more than gap_tol."""
-        e = np.sort(self.energies)
-        if e.size < 2:
-            return False
-        return float(np.min(np.diff(e))) > self.gap_tol
+    # cached_property stores into the instance __dict__, which a frozen
+    # dataclass leaves writable
+    @functools.cached_property
+    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
+        levels = _merge_levels(self.energies, self.projectors, _gap_tol(self.energies))
+        for array in levels:
+            array.flags.writeable = False
+        return levels
 
     def distinct_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Energies merged within gap_tol, with summed projectors, ascending."""
-        return _merge_levels(self.energies, self.projectors, self.gap_tol)
+        """Energies merged within gap_tol, with summed projectors, ascending.
+
+        Merged once per Hamiltonian, on first use; both arrays are read-only.
+        """
+        return self._levels
+
+    @property
+    def period(self) -> float:
+        """2 pi / min dE over the distinct levels: one period of the slowest pair.
+
+        Raises OutOfRange for a single level, and for a gap so small or so
+        large that 2 pi / dE is not a finite positive number.
+        """
+        levels = self.distinct_levels()[0]
+        if levels.size < 2:
+            raise OutOfRange("a single distinct level has no period")
+        gap = float(np.min(np.diff(levels)))
+        period = 2.0 * math.pi / gap
+        if not 0.0 < period < math.inf:
+            raise OutOfRange(f"smallest level gap {gap!r} gives no finite period 2 pi / gap")
+        return period
 
     @property
     def trivial(self) -> bool:
@@ -295,33 +320,6 @@ def impact_coefficients(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactCoeffi
     return _coefficients(rho, h.projectors)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section search for a local maximum of f on [lo, hi].
-
-    Stops once the bracket is no wider than ``tol``, or once a round leaves it
-    no narrower: past t ~ 8192 the float spacing of t exceeds 1e-12.
-    """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        width = b - a
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        if b - a >= width:
-            break
-    t_best = x1 if f1 >= f2 else x2
-    return (f1 if f1 >= f2 else f2), t_best
-
-
 def _grid_argmax(
     profile, step: float, gaps: np.ndarray, weights: np.ndarray, slack: float
 ) -> tuple[int, float]:
@@ -355,10 +353,9 @@ def impact_power_result(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactPowerR
         return ImpactPowerResult(value=0.0, t_max=0.0, exact=True, upper_bound=0.0)
     coeff = _coefficients(rho, projectors)
     if energies.size == 2:
-        gap = abs(float(energies[1] - energies[0]))
         value = max(2.0 * coeff.a, 0.0)
         return ImpactPowerResult(
-            value=value, t_max=math.pi / gap, exact=True, upper_bound=value
+            value=value, t_max=h.period / 2.0, exact=True, upper_bound=value
         )
 
     # the pairs l > k in row-major order, reduced over in that order from 0
@@ -378,7 +375,7 @@ def impact_power_result(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactPowerR
         total += 0.0  # as if summed from +0.0: no -0.0 total
         return total
 
-    span = 2.0 * math.pi / float(np.min(gaps))
+    span = h.period
     step = span / GRID_POINTS
     # the slack covers the float error of each value, mostly from rounding the
     # argument dE t
@@ -387,7 +384,7 @@ def impact_power_result(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactPowerR
     t_grid = (best + 1.0) * step  # the same float as every evaluation of grid point i
     lo = max(t_grid - step, step * 1e-6)
     hi = min(t_grid + step, span)
-    value, t_best = _golden_max(
+    value, t_best = linalg.golden_max(
         lambda t: float(profile(np.array([t]))[0]), lo, hi, TIME_REFINE_TOL
     )
     value = max(value, best_value)

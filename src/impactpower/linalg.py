@@ -9,11 +9,16 @@ Hermitian eigendecomposition goes through LAPACK (``numpy.linalg.eigh`` and
 ``eigvalsh``) after an explicit check that the input is square, finite and
 Hermitian within a stated tolerance; only the exact Hermitian part is handed
 to the solver.
+
+The module also holds the one golden-section search of the package, a scalar
+coroutine with a short driver beside it.  The impact-power routes share it as
+generic search machinery while each keeps its own objective, grid and tolerance.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -26,6 +31,7 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 #: absolute tolerance on max entrywise deviation from A = A^dagger
 HERMITICITY_TOL = 1e-9
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,6 +138,45 @@ def _checked_hermitian_part(a: np.ndarray) -> np.ndarray:
             f"exceeds {HERMITICITY_TOL:.1e}"
         )
     return (a + a_dag) / 2.0
+
+
+def golden_steps(lo: float, hi: float, tol: float) -> Generator[float, float, tuple[float, float]]:
+    """Golden-section maximization on [lo, hi] as a coroutine.
+
+    Yields each abscissa and receives the objective value there; returns
+    (best value, its abscissa) once the bracket is no wider than ``tol``, or
+    once a round leaves it no narrower, as where the float spacing of the
+    abscissae exceeds ``tol`` (past t ~ 8192 for a tolerance of 1e-12).
+    """
+    a, b = lo, hi
+    x1 = b - _INV_PHI * (b - a)
+    x2 = a + _INV_PHI * (b - a)
+    f1 = yield x1
+    f2 = yield x2
+    while b - a > tol:
+        width = b - a
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INV_PHI * (b - a)
+            f2 = yield x2
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INV_PHI * (b - a)
+            f1 = yield x1
+        if b - a >= width:
+            break
+    return (f1, x1) if f1 >= f2 else (f2, x2)
+
+
+def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """(best value, its abscissa) of :func:`golden_steps` on a scalar objective f."""
+    search = golden_steps(lo, hi, tol)
+    x = next(search)
+    try:
+        while True:
+            x = search.send(f(x))
+    except StopIteration as done:
+        return done.value
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, Generator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +35,6 @@ _ANGLE_STEP_MIN = 1e-8
 _ACCEPT_MARGIN = 1e-18
 #: most matrices in one stacked evaluation; bounds the temporaries, not the result
 _CHUNK = 64
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _UNIT_GAP_ENERGIES = np.array([0.0, 1.0])
 #: row i is the Pauli matrix sigma_i flattened, so axes @ rows gives r.sigma
 _PAULI_ROWS = np.array(linalg.PAULIS).reshape(3, 4)
@@ -172,33 +171,6 @@ def _refine_axis(
     return sign * best, axis
 
 
-def _golden_steps(lo: float, hi: float, tol: float) -> Generator[float, float, tuple[float, float]]:
-    """Golden-section maximization on [lo, hi] as a coroutine.
-
-    Yields each abscissa and receives the objective value there; returns
-    (best value, its abscissa) once the bracket is no wider than ``tol``, or
-    once a round leaves it no narrower (the float spacing exceeds ``tol``).
-    """
-    a, b = lo, hi
-    x1 = b - _INV_PHI * (b - a)
-    x2 = a + _INV_PHI * (b - a)
-    f1 = yield x1
-    f2 = yield x2
-    while b - a > tol:
-        width = b - a
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = yield x2
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = yield x1
-        if b - a >= width:
-            break
-    return (f1, x1) if f1 >= f2 else (f2, x2)
-
-
 def _golden_max(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +181,7 @@ def _golden_max(
     ``active[j]``, over the brackets whose search has not finished.  Returns
     the best value and abscissa per bracket.
     """
-    searches = [_golden_steps(a, b, tol) for a, b in zip(lo.tolist(), hi.tolist())]
+    searches = [linalg.golden_steps(a, b, tol) for a, b in zip(lo.tolist(), hi.tolist())]
     best, at = np.empty(len(searches)), np.empty(len(searches))
     pending = [(i, search, next(search)) for i, search in enumerate(searches)]
     while pending:
@@ -298,20 +270,18 @@ def impact_power_grid(
 ) -> GridMax:
     """Maximize the impact over a dense time grid, then polish by golden section.
 
-    The grid spans one period of the slowest pairwise oscillation,
-    2 pi / min gap.  Each profile point is a direct evolve-and-subtract
+    The grid spans ``h.period`` = 2 pi / min gap, one period of the slowest
+    pairwise oscillation.  Each profile point is a direct evolve-and-subtract
     evaluation; no coefficient formula is involved.
     """
     if h.d_a != rho.d_a:
         raise DimensionMismatch(
             f"Hamiltonian acts on dimension {h.d_a}, state has d_A = {rho.d_a}"
         )
-    levels, _ = h.distinct_levels()
-    if levels.size < 2:
+    if h.trivial:
         raise DegenerateHamiltonian("impact power grid search needs at least two distinct levels")
-    span = 2.0 * math.pi / float(np.min(np.diff(levels)))
     embedded = linalg.tensor(h.projectors, np.eye(rho.d_b, dtype=complex))
-    value, t = _grid_golden_max(rho.mat, embedded[None], h.energies, span, grid_points)
+    value, t = _grid_golden_max(rho.mat, embedded[None], h.energies, h.period, grid_points)
     return GridMax(value=float(value[0]), t=float(t[0]))
 
 

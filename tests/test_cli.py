@@ -126,6 +126,74 @@ def test_compute_finishes_for_a_tiny_level_gap(capsys, tmp_path):
     assert math.isfinite(power["value"]) and 0.0 < power["value"] <= power["upper_bound"]
 
 
+def _write_hamiltonian(path, energies, projectors):
+    path.write_text(
+        json.dumps(
+            {
+                "dA": len(projectors[0]),
+                "energies": energies,
+                "projectors": [[[float(v), 0.0] for v in np.ravel(p)] for p in projectors],
+            }
+        )
+    )
+
+
+def test_compute_rejects_oblique_projectors(capsys, tmp_path, werner_file):
+    # idempotent, mutually annihilating and complete, but not Hermitian:
+    # unchecked, compute prints an impact power of 0.111 marked exact
+    ham = tmp_path / "oblique.json"
+    _write_hamiltonian(ham, [0.0, 1.0], [[[1, 1], [0, 0]], [[0, -1], [0, 1]]])
+    code, out, err = run(capsys, ["compute", werner_file, "--hamiltonian", str(ham)])
+    assert (code, out) == (2, "")
+    assert "projector 0 violates Pi = Pi^dagger" in err and str(ham) in err
+
+
+@pytest.mark.parametrize("levels", [[0.0, 1e-320], [0.0, 1e-320, 2e-320]])
+def test_compute_rejects_a_gap_with_no_finite_period(capsys, tmp_path, levels):
+    state, ham = tmp_path / "s.json", tmp_path / "h.json"
+    states.save_state(states.random_state((len(levels), 2), seed=0), state)
+    _write_hamiltonian(ham, levels, list(np.eye(len(levels))[:, None] * np.eye(len(levels))[:, :, None]))
+    code, out, err = run(capsys, ["compute", str(state), "--hamiltonian", str(ham)])
+    assert (code, out) == (2, "")
+    assert "gap 1e-320" in err and "Traceback" not in err
+
+
+def test_compute_merges_the_levels_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    merge = dynamics._merge_levels
+    monkeypatch.setattr(dynamics, "_merge_levels", lambda *a: calls.append(1) or merge(*a))
+    state, ham = tmp_path / "s.json", tmp_path / "h.json"
+    states.save_state(states.random_state((3, 2), seed=0), state)
+    _write_hamiltonian(ham, [0.0, 1.1, 2.7], list(np.eye(3)[:, None] * np.eye(3)[:, :, None]))
+    code, _, _ = run(capsys, ["compute", str(state), "--hamiltonian", str(ham)])
+    assert code == 0
+    assert len(calls) == 1
+
+
+_UNREADABLE = {
+    "non-UTF-8": b'{"dims": [2, 2], "name": "\xff"}',
+    "nested 100,000 deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("which", ["state", "hamiltonian"])
+@pytest.mark.parametrize("case", sorted(_UNREADABLE))
+def test_compute_on_an_unreadable_file_exits_2_naming_it(capsys, tmp_path, werner_file, which, case):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(_UNREADABLE[case])
+    argv = ["compute", str(bad)] if which == "state" else ["compute", werner_file, "--hamiltonian", str(bad)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert f"cannot parse {which} file {str(bad)!r}" in err
+
+
+def test_scan_out_into_a_missing_directory_exits_2_naming_it(capsys, tmp_path):
+    target = tmp_path / "missing" / "scan.csv"
+    code, out, err = run(capsys, ["scan", "werner", "--grid", "5", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert f"cannot write CSV file {str(target)!r}" in err
+
+
 def test_scan_werner_saturation(capsys):
     code, out, _ = run(capsys, ["scan", "werner", "--grid", "11"])
     assert code == 0
@@ -454,8 +522,10 @@ _HAMILTONIAN_LIKE = st.fixed_dictionaries(
 @settings(max_examples=100, deadline=None)
 @given(
     which=st.sampled_from(["state", "hamiltonian"]),
-    text=(_JSON | _STATE_LIKE | _HAMILTONIAN_LIKE).map(json.dumps) | st.text(max_size=8),
+    text=(_JSON | _STATE_LIKE | _HAMILTONIAN_LIKE).map(json.dumps) | st.text(max_size=8) | st.binary(max_size=8),
 )
+@example(which="state", text=b"\xff")
+@example(which="hamiltonian", text=b'{"dA": 2, "gap": "\xc3"}')
 @example(which="state", text='{"dims": [2.7, 2], "matrix": %s}' % json.dumps(_MIXED_PAIRS))
 @example(which="state", text='{"dims": [1e400, 2], "matrix": []}')
 @example(which="hamiltonian", text='{"dA": 2.7, "bloch_axis": [0, 0, 1], "gap": 1.0}')
@@ -464,7 +534,11 @@ def test_compute_on_arbitrary_json_exits_0_or_2(tmp_path_factory, which, text):
     work = tmp_path_factory.mktemp("fuzz")
     state, ham = work / "state.json", work / "ham.json"
     states.save_state(states.werner(0.3), state)
-    (state if which == "state" else ham).write_text(text)
+    target = state if which == "state" else ham
+    if isinstance(text, bytes):
+        target.write_bytes(text)
+    else:
+        target.write_text(text)
     argv = ["compute", str(state), "--time-samples", "4"]
     if which == "hamiltonian":
         argv += ["--hamiltonian", str(ham)]

@@ -7,13 +7,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from impactpower import dynamics, linalg, states
-from impactpower.errors import DimensionMismatch, InvalidHamiltonian, OutOfRange
+from impactpower.errors import DimensionMismatch, ImpactPowerError, InvalidHamiltonian, OutOfRange
 
 from conftest import random_hermitian
 
 DIAG_QUBIT = dynamics.LocalHamiltonian(
     np.array([0.0, 1.0]), (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
 )
+
+#: idempotent, mutually annihilating and complete, but not Hermitian; without
+#: a Hermiticity check, evolve under it gives a "state" of trace 1.46
+OBLIQUE_PAIR = (np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[0.0, -1.0], [0.0, 1.0]]))
 
 
 def bell_state():
@@ -63,8 +67,61 @@ def test_from_matrix_merges_degenerate_levels():
 
 def test_trivial_and_degeneracy_flags():
     ident = dynamics.LocalHamiltonian.from_matrix(2.0 * np.eye(2))
-    assert ident.trivial and not ident.nondegenerate
-    assert DIAG_QUBIT.nondegenerate and not DIAG_QUBIT.trivial
+    assert ident.trivial and not ident.fully_nondegenerate
+    assert DIAG_QUBIT.fully_nondegenerate and not DIAG_QUBIT.trivial
+
+
+def test_period_is_two_pi_over_the_smallest_distinct_gap():
+    assert DIAG_QUBIT.period == 2.0 * math.pi
+    # 1 and 1 + 1e-12 merge, leaving gaps 1.5 and 2.5
+    ham = dynamics.LocalHamiltonian.from_matrix(np.diag([-0.5, 1.0, 1.0 + 1e-12, 3.5]))
+    assert ham.period == 2.0 * math.pi / 1.5
+    with pytest.raises(OutOfRange, match="single distinct level"):
+        dynamics.LocalHamiltonian.from_matrix(2.0 * np.eye(2)).period
+
+
+def test_distinct_levels_are_merged_once_and_read_only(monkeypatch):
+    calls = []
+    merge = dynamics._merge_levels
+    monkeypatch.setattr(dynamics, "_merge_levels", lambda *a: calls.append(1) or merge(*a))
+    ham = dynamics.LocalHamiltonian(np.array([1.0, 0.0, 1.0]), np.eye(3)[:, None] * np.eye(3)[:, :, None])
+    levels, projectors = ham.distinct_levels()
+    assert ham.distinct_levels()[0] is levels
+    assert ham.trivial is False and ham.fully_nondegenerate is False and ham.period == 2.0 * math.pi
+    assert len(calls) == 1
+    for array in (levels, projectors):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_hamiltonian_keeps_read_only_copies_of_its_arrays():
+    # the caller's arrays stay the caller's: changing them later must not
+    # change the Hamiltonian behind its cached levels
+    energies = np.array([0.0, 1.0, 2.0])
+    projectors = np.eye(3)[:, None] * np.eye(3)[:, :, None] + 0j
+    ham = dynamics.LocalHamiltonian(energies, projectors)
+    period = ham.period
+    energies[1] = 0.5
+    projectors[0, 0, 0] = 2.0
+    assert ham.energies.tolist() == [0.0, 1.0, 2.0] and ham.projectors[0, 0, 0] == 1.0
+    assert ham.period == period
+    assert not ham.energies.flags.writeable and not ham.projectors.flags.writeable
+
+
+_SUBNORMAL_LEVELS = {"2 levels": [0.0, 1e-320], "3 levels": [0.0, 1e-320, 2e-320]}
+
+
+@pytest.mark.parametrize("case", sorted(_SUBNORMAL_LEVELS))
+def test_impact_power_rejects_a_gap_with_no_finite_period(case):
+    # 2 pi / 1e-320 overflows: unchecked, two levels give t_max = inf and
+    # three fail on an empty grid
+    levels = _SUBNORMAL_LEVELS[case]
+    ham = dynamics.LocalHamiltonian.from_matrix(np.diag(levels))
+    assert ham.distinct_levels()[0].size == len(levels)
+    rho = states.random_state((len(levels), 2), seed=0)
+    with pytest.raises(ImpactPowerError, match="gap 1e-320"):
+        dynamics.impact_power_result(rho, ham)
 
 
 def test_from_bloch_axis_matrix():
@@ -338,6 +395,9 @@ def _reference_validate(energies, projectors) -> None:
         raise InvalidHamiltonian("projectors have non-finite (NaN or inf) entries")
     tol = dynamics.PROJECTOR_TOL
     for i, p in enumerate(projectors):
+        if float(np.max(np.abs(p - p.conj().T))) > tol:
+            raise InvalidHamiltonian(f"projector {i} violates Pi = Pi^dagger within {tol:.1e}")
+    for i, p in enumerate(projectors):
         for j, q in enumerate(projectors):
             target = p if i == j else 0.0
             if float(np.max(np.abs(p @ q - target))) > tol:
@@ -407,7 +467,8 @@ def test_projector_stack_matches_per_projector_loops(rng):
         ref_matrix = sum(e * p for e, p in zip(ham.energies, ham.projectors))
         assert _same_bits(ham.matrix(), ref_matrix)
         levels, projectors = ham.distinct_levels()
-        ref_levels, ref_projectors = _reference_levels(ham.energies, ham.projectors, ham.gap_tol)
+        gap_tol = dynamics._gap_tol(ham.energies)
+        ref_levels, ref_projectors = _reference_levels(ham.energies, ham.projectors, gap_tol)
         assert _same_bits(levels, ref_levels)
         assert _same_bits(projectors, ref_projectors)
         for d_b in (2, 3):
@@ -417,6 +478,28 @@ def test_projector_stack_matches_per_projector_loops(rng):
                 ref_a, ref_b = _reference_coefficients(rho, stack)
                 assert coeff.a == ref_a
                 assert _same_bits(coeff.b, ref_b)
+
+
+def _reference_golden_max(f, lo, hi, tol):
+    # the scalar golden-section loop, frozen
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    x1 = b - inv_phi * (b - a)
+    x2 = a + inv_phi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        width = b - a
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv_phi * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv_phi * (b - a)
+            f1 = f(x1)
+        if b - a >= width:
+            break
+    return (f1, x1) if f1 >= f2 else (f2, x2)
 
 
 def _reference_numeric_power(rho, ham):
@@ -438,7 +521,7 @@ def _reference_numeric_power(rho, ham):
     ts = np.arange(1, dynamics.GRID_POINTS + 1) * step
     values = profile(ts)
     best = int(np.argmax(values))
-    value, t_best = dynamics._golden_max(
+    value, t_best = _reference_golden_max(
         lambda t: float(profile(np.array([t]))[0]),
         max(ts[best] - step, step * 1e-6),
         min(ts[best] + step, span),
@@ -540,6 +623,11 @@ def _invalid_projector_sets():
         "non-idempotent": ([0.0], (0.5 * np.eye(2, dtype=complex),)),
         "non-orthogonal at 0,2 before non-idempotent 1": ([0.0, 1.0, 2.0], (p0 + p2, 0.5 * p1, p2)),
         "incomplete": ([0.0, 1.0], (p0, p1)),
+        "non-Hermitian": ([0.0, 1.0], OBLIQUE_PAIR),
+        "non-Hermitian 1 of 3": (
+            [0.0, 1.0, 2.0],
+            (p0, np.array([[0, 0, 0], [0, 1, 1], [0, 0, 0]]), np.array([[0, 0, 0], [0, 0, -1], [0, 0, 1]])),
+        ),
         "ragged": ([0.0, 1.0], (np.eye(2, dtype=complex), np.eye(3, dtype=complex))),
         "not square": ([0.0, 1.0], (np.zeros((2, 3)), np.zeros((2, 3)))),
         "count": ([0.0, 1.0, 2.0], (p0, p1)),

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from impactpower import correlations, dynamics, oracle, states
-from impactpower.errors import DegenerateHamiltonian, DimensionMismatch
+from impactpower.errors import DegenerateHamiltonian, DimensionMismatch, ImpactPowerError
 
 from conftest import random_hermitian
 
@@ -60,6 +60,13 @@ def test_grid_finishes_for_a_tiny_level_gap():
     found = oracle.impact_power_grid(rho, ham)
     assert math.isfinite(found.value) and math.isfinite(found.t)
     assert 0.0 < found.value <= 2.0 * dynamics.impact_coefficients(rho, ham).a
+
+
+@pytest.mark.parametrize("levels", [[0.0, 1e-320], [0.0, 1e-320, 2e-320]])
+def test_grid_rejects_a_gap_with_no_finite_period(levels):
+    ham = dynamics.LocalHamiltonian.from_matrix(np.diag(levels))
+    with pytest.raises(ImpactPowerError, match="gap 1e-320"):
+        oracle.impact_power_grid(states.random_state((len(levels), 2), seed=0), ham)
 
 
 def test_grid_monotone_under_refinement():
