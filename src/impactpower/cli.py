@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed verification check, 2 invalid input
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -46,8 +47,9 @@ def _fail(message: str) -> int:
 # --- compute ----------------------------------------------------------------
 
 
-#: what reading an input file can raise, besides an ImpactPowerError on its contents
-_READ_ERRORS = (OSError, UnicodeDecodeError, RecursionError, json.JSONDecodeError)
+#: what reading an input file can raise, besides an ImpactPowerError on its contents;
+#: ValueError covers json's JSONDecodeError and its limit on the digits of an integer
+_READ_ERRORS = (OSError, UnicodeDecodeError, RecursionError, ValueError)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
@@ -80,12 +82,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             "trivial": ham.trivial,
             "fully_nondegenerate": ham.fully_nondegenerate,
         }
-        out["impact_power"] = {
-            "value": res.value,
-            "t_max": res.t_max,
-            "exact": res.exact,
-            "upper_bound": res.upper_bound,
-        }
+        out["impact_power"] = dataclasses.asdict(res)
         if profile:
             out["impact_profile"] = profile
 

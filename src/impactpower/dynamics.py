@@ -142,6 +142,13 @@ class LocalHamiltonian:
     def d_a(self) -> int:
         return self.projectors.shape[1]
 
+    def check_acts_on(self, rho: DensityMatrix) -> None:
+        """Raise DimensionMismatch unless H acts on rho's subsystem A."""
+        if self.d_a != rho.d_a:
+            raise DimensionMismatch(
+                f"Hamiltonian acts on dimension {self.d_a}, state has d_A = {rho.d_a}"
+            )
+
     # cached_property stores into the instance __dict__, which a frozen
     # dataclass leaves writable
     @functools.cached_property
@@ -205,9 +212,12 @@ class LocalHamiltonian:
             raise DimensionMismatch(f"bloch axis must have 3 components, got {axis.shape}")
         if not np.all(np.isfinite(axis)):
             raise OutOfRange("bloch axis has non-finite (NaN or inf) components")
-        nrm = float(np.linalg.norm(axis))
-        if nrm == 0.0:
+        largest = float(np.max(np.abs(axis)))
+        if largest == 0.0:
             raise OutOfRange("bloch axis must be nonzero")
+        if not 1e-150 < largest < 1e150:  # the squares in its norm would under- or overflow
+            axis = axis / largest
+        nrm = float(np.linalg.norm(axis))
         gap = float(gap)
         if not math.isfinite(gap):
             raise OutOfRange(f"gap {gap!r} is non-finite")
@@ -254,17 +264,10 @@ class ImpactPowerResult:
     upper_bound: float
 
 
-def _check_dims(rho: DensityMatrix, h: LocalHamiltonian) -> None:
-    if h.d_a != rho.d_a:
-        raise DimensionMismatch(
-            f"Hamiltonian acts on dimension {h.d_a}, state has d_A = {rho.d_a}"
-        )
-
-
 def _evolved(rho: DensityMatrix, h: LocalHamiltonian, t) -> np.ndarray:
     # the matrix of rho(t) = U rho U^dagger with U = exp(-i H_A t) (x) 1_B,
     # one matrix per entry of the time array t (a single one for a scalar)
-    _check_dims(rho, h)
+    h.check_acts_on(rho)
     t = np.asarray(t, dtype=float)
     u_a = _level_sum(np.exp(-1j * h.energies * t[..., None]), h.projectors)
     u = linalg.tensor(u_a, np.eye(rho.d_b, dtype=complex))
@@ -316,7 +319,7 @@ def impact_coefficients(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactCoeffi
     a = Tr[rho^2] - Tr[rho sum_i Pi_i rho Pi_i] and
     b_lk = 2 Tr[rho Pi_l rho Pi_k], over the Hamiltonian's stored projectors.
     """
-    _check_dims(rho, h)
+    h.check_acts_on(rho)
     return _coefficients(rho, h.projectors)
 
 
@@ -347,7 +350,7 @@ def _grid_argmax(
 
 def impact_power_result(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactPowerResult:
     """Impact power with attainment metadata; see :class:`ImpactPowerResult`."""
-    _check_dims(rho, h)
+    h.check_acts_on(rho)
     energies, projectors = h.distinct_levels()
     if energies.size == 1:
         return ImpactPowerResult(value=0.0, t_max=0.0, exact=True, upper_bound=0.0)
@@ -420,9 +423,10 @@ def hamiltonian_from_dict(data: dict) -> LocalHamiltonian:
         if "bloch_axis" in data:
             if d_a != 2:
                 raise InvalidHamiltonian("bloch_axis shorthand requires dA = 2")
-            return LocalHamiltonian.from_bloch_axis(data["bloch_axis"], data["gap"])
-        energies = np.asarray(data["energies"], dtype=float)
-        projectors = [linalg.pairs_to_matrix(p, d_a, d_a) for p in data["projectors"]]
+            axis = [linalg.json_float(r, "bloch_axis") for r in data["bloch_axis"]]
+            return LocalHamiltonian.from_bloch_axis(axis, linalg.json_float(data["gap"], "gap"))
+        energies = [linalg.json_float(e, "energies") for e in data["energies"]]
+        projectors = [linalg.pairs_to_matrix(p, d_a, d_a, "projectors") for p in data["projectors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidHamiltonian(f"malformed hamiltonian object: {exc}") from exc
     return LocalHamiltonian(energies, projectors)

@@ -18,6 +18,8 @@ generic search machinery while each keeps its own objective, grid and tolerance.
 from __future__ import annotations
 
 import math
+import reprlib
+import sys
 from typing import Callable, Generator
 
 import numpy as np
@@ -193,9 +195,9 @@ def matrix_to_pairs(a: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(a, dtype=complex).ravel()]
 
 
-def pairs_to_matrix(pairs: list[list[float]], rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`matrix_to_pairs`."""
-    flat = np.asarray(pairs, dtype=float)
+def pairs_to_matrix(pairs: list[list[float]], rows: int, cols: int, field: str) -> np.ndarray:
+    """Inverse of :func:`matrix_to_pairs`; reads each entry with :func:`json_float`."""
+    flat = np.array([[json_float(x, field) for x in pair] for pair in pairs])
     if flat.ndim != 2 or flat.shape != (rows * cols, 2):
         raise DimensionMismatch(
             f"expected {rows * cols} [re, im] pairs for a {rows}x{cols} matrix, "
@@ -209,3 +211,14 @@ def json_int(value) -> int:
     if not (type(value) is int or type(value) is float and value.is_integer()):
         raise ValueError(f"expected a whole number, got {value!r}")
     return int(value)
+
+
+def json_float(value, field: str) -> float:
+    """A number read from the JSON ``field``: a float, or an int that fits in one.
+
+    ValueError naming the field for true, "2", 10**400 and the like; NaN and
+    Infinity pass, for the invariants of the object read to reject.
+    """
+    if type(value) is float or type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{field}: expected a JSON number that fits a float, got {reprlib.repr(value)}")

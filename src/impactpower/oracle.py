@@ -145,30 +145,34 @@ def _sphere_moves(axis: np.ndarray, step: float) -> Callable[[np.ndarray, int], 
     return candidates
 
 
-def _refine_axis(
+def _axis_search(
     objective: Callable[[np.ndarray], np.ndarray],
-    axis: np.ndarray,
-    value: float,
-    minimize: bool = True,
-) -> tuple[float, np.ndarray]:
-    """Derivative-free descent on the sphere: rotate towards tangent directions,
-    halving the step angle from ``_ANGLE_STEP0`` down to ``_ANGLE_STEP_MIN``.
+    samples: int,
+    seed: int | np.random.Generator | None,
+    sign: float,
+) -> AxisSearch:
+    """The axis minimizing ``sign * objective``: sign 1 minimizes, -1 maximizes.
 
-    ``objective`` maps an ``(N, 3)`` stack of axes to N values, and ``value``
-    is its value at the start ``axis``, as the sampling pass computed it.
+    ``objective`` maps an ``(N, 3)`` stack of axes to N values.  The first
+    best of ``samples`` jittered Fibonacci-lattice axes, deterministic for a
+    given seed, starts a derivative-free descent on the sphere that rotates
+    towards tangent directions, halving the step angle from ``_ANGLE_STEP0``
+    down to ``_ANGLE_STEP_MIN``.
     """
-    sign = 1.0 if minimize else -1.0
 
     def signed(axes: np.ndarray) -> np.ndarray:
         return sign * objective(axes)
 
-    best = sign * value
+    axes = fibonacci_sphere_axes(samples, seed=seed, jitter=0.5)
+    values = _chunked(signed, axes)
+    best = int(np.argmin(values))
+    axis, value = axes[best], float(values[best])
     step = _ANGLE_STEP0
     while step > _ANGLE_STEP_MIN:
-        axis, best, improved = _first_improvement(signed, _sphere_moves(axis, step), axis, best, 4)
+        axis, value, improved = _first_improvement(signed, _sphere_moves(axis, step), axis, value, 4)
         if not improved:
             step *= 0.5
-    return sign * best, axis
+    return AxisSearch(value=sign * value, axis=axis)
 
 
 def _golden_max(
@@ -274,10 +278,7 @@ def impact_power_grid(
     pairwise oscillation.  Each profile point is a direct evolve-and-subtract
     evaluation; no coefficient formula is involved.
     """
-    if h.d_a != rho.d_a:
-        raise DimensionMismatch(
-            f"Hamiltonian acts on dimension {h.d_a}, state has d_A = {rho.d_a}"
-        )
+    h.check_acts_on(rho)
     if h.trivial:
         raise DegenerateHamiltonian("impact power grid search needs at least two distinct levels")
     embedded = linalg.tensor(h.projectors, np.eye(rho.d_b, dtype=complex))
@@ -296,14 +297,7 @@ def p_min_search(
     if rho.d_a != 2:
         raise DimensionMismatch(f"p_min_search requires d_A = 2, got {rho.d_a}")
 
-    def objective(axes: np.ndarray) -> np.ndarray:
-        return _dephasing_distances(rho, axes)
-
-    axes = fibonacci_sphere_axes(samples, seed=seed, jitter=0.5)
-    values = _chunked(objective, axes)
-    best = int(np.argmin(values))
-    value, axis = _refine_axis(objective, axes[best], float(values[best]), minimize=True)
-    return AxisSearch(value=value, axis=axis)
+    return _axis_search(partial(_dephasing_distances, rho), samples, seed, 1.0)
 
 
 def _qubit_impact_powers(rho: DensityMatrix, axes: np.ndarray, grid_points: int) -> np.ndarray:
@@ -330,14 +324,8 @@ def p_max_search(
     if rho.d_a != 2:
         raise DimensionMismatch(f"p_max_search requires d_A = 2, got {rho.d_a}")
 
-    def objective(axes: np.ndarray) -> np.ndarray:
-        return _qubit_impact_powers(rho, axes, grid_points)
-
-    axes = fibonacci_sphere_axes(samples, seed=seed, jitter=0.5)
-    values = _chunked(objective, axes)
-    best = int(np.argmax(values))
-    value, axis = _refine_axis(objective, axes[best], float(values[best]), minimize=False)
-    return AxisSearch(value=value, axis=axis)
+    objective = partial(_qubit_impact_powers, rho, grid_points=grid_points)
+    return _axis_search(objective, samples, seed, -1.0)
 
 
 def unitary_expm_evolve(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> DensityMatrix:
@@ -345,10 +333,7 @@ def unitary_expm_evolve(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> De
 
     Independent of the spectral route used by :func:`impactpower.dynamics.evolve`.
     """
-    if h.d_a != rho.d_a:
-        raise DimensionMismatch(
-            f"Hamiltonian acts on dimension {h.d_a}, state has d_A = {rho.d_a}"
-        )
+    h.check_acts_on(rho)
     generator = -1j * float(t) * linalg.tensor(h.matrix(), np.eye(rho.d_b, dtype=complex))
     norm = math.sqrt(linalg.hs_norm_sq(generator))
     squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 1.0 else 0
@@ -436,10 +421,10 @@ def discord_cq_search(
         return rest
 
     lattice_starts = max(samples // 2, 1)
-    start_axes = list(fibonacci_sphere_axes(lattice_starts))
-    while len(start_axes) < samples:
-        axis = rng.standard_normal(3)
-        start_axes.append(axis / np.linalg.norm(axis))
+    # one draw for the random starts, each row normalized on its own: the
+    # stream and the bits of one standard_normal(3) call per start
+    random_axes = rng.standard_normal((max(samples - lattice_starts, 0), 3))
+    start_axes = [*fibonacci_sphere_axes(lattice_starts), *(a / np.linalg.norm(a) for a in random_axes)]
 
     best = math.inf
     for axis in start_axes:

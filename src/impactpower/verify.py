@@ -79,19 +79,19 @@ def _random_qubit_hamiltonian(rng: np.random.Generator) -> dynamics.LocalHamilto
     )
 
 
-def _discordant_state(rng: np.random.Generator, threshold: float = 1e-3) -> states.DensityMatrix:
+def _discordant_state(rng: np.random.Generator) -> states.DensityMatrix:
     for _ in range(1000):
         rho = states.random_state((2, 2), seed=rng)
-        if correlations.geometric_discord(rho)[0] > threshold:
+        if correlations.geometric_discord(rho)[0] > 1e-3:
             return rho
     raise ImpactPowerError("failed to sample a discordant state in 1000 draws")
 
 
-def _random_product_pure(rng: np.random.Generator, d_b: int = 2) -> states.DensityMatrix:
+def _random_product_pure(rng: np.random.Generator) -> states.DensityMatrix:
     ket_a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    ket_b = rng.standard_normal(d_b) + 1j * rng.standard_normal(d_b)
+    ket_b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     vec = np.kron(ket_a / np.linalg.norm(ket_a), ket_b / np.linalg.norm(ket_b))
-    return states.from_pure(vec, (2, d_b))
+    return states.from_pure(vec, (2, 2))
 
 
 # Item functions take (the item's generator, its index, the budget's sizes)

@@ -497,6 +497,47 @@ def test_json_dimensions_must_be_whole_numbers(capsys, tmp_path, werner_file, d_
         assert "whole number" in err and "Traceback" not in err
 
 
+_TWO_PROJECTORS = json.dumps([[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                              [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]])
+#: per field, which file it sits in and a valid object with X where the bad number goes
+_NUMBER_FIELDS = {
+    "matrix": ("state", json.dumps({"dims": [2, 2], "matrix": _MIXED_PAIRS}).replace("0.25", "X", 1)),
+    "energies": ("hamiltonian", '{"dA": 2, "energies": [0, X], "projectors": %s}' % _TWO_PROJECTORS),
+    "projectors": (
+        "hamiltonian",
+        '{"dA": 2, "energies": [0, 1], "projectors": %s}' % _TWO_PROJECTORS.replace("1.0", "X", 1),
+    ),
+    "bloch_axis": ("hamiltonian", '{"dA": 2, "bloch_axis": [0, 0, X], "gap": 1.0}'),
+    "gap": ("hamiltonian", '{"dA": 2, "bloch_axis": [0, 0, 1], "gap": X}'),
+}
+_NOT_NUMBERS = {"string": '"0.25"', "bool": "true", "1e400-int": "1" + "0" * 400}
+
+
+@pytest.mark.parametrize("number", sorted(_NOT_NUMBERS))
+@pytest.mark.parametrize("field", sorted(_NUMBER_FIELDS))
+def test_json_numbers_must_be_json_numbers(capsys, tmp_path, werner_file, field, number):
+    which, template = _NUMBER_FIELDS[field]
+    text = template.replace("X", _NOT_NUMBERS[number])
+    read, error = (
+        (states.state_from_dict, InvalidDensityMatrix)
+        if which == "state"
+        else (dynamics.hamiltonian_from_dict, InvalidHamiltonian)
+    )
+    read(json.loads(template.replace("X", "0.25" if field == "matrix" else "1")))  # valid but for X
+    message = f"{field}: expected a JSON number that fits a float"
+    with pytest.raises(error, match=message):
+        read(json.loads(text))
+    path = tmp_path / f"{which}.json"
+    path.write_text(text)
+    if which == "state":
+        argv = ["compute", str(path)]
+    else:
+        argv = ["compute", werner_file, "--hamiltonian", str(path)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, ""), argv
+    assert repr(str(path)) in err and message in err and "Traceback" not in err
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
@@ -530,6 +571,12 @@ _HAMILTONIAN_LIKE = st.fixed_dictionaries(
 @example(which="state", text='{"dims": [1e400, 2], "matrix": []}')
 @example(which="hamiltonian", text='{"dA": 2.7, "bloch_axis": [0, 0, 1], "gap": 1.0}')
 @example(which="hamiltonian", text='{"dA": 1e400, "energies": [0, 1], "projectors": []}')
+@example(which="state", text=_NUMBER_FIELDS["matrix"][1].replace("X", _NOT_NUMBERS["1e400-int"]))
+@example(which="hamiltonian", text=_NUMBER_FIELDS["energies"][1].replace("X", _NOT_NUMBERS["1e400-int"]))
+@example(which="hamiltonian", text=_NUMBER_FIELDS["projectors"][1].replace("X", _NOT_NUMBERS["1e400-int"]))
+@example(which="hamiltonian", text=_NUMBER_FIELDS["bloch_axis"][1].replace("X", _NOT_NUMBERS["1e400-int"]))
+@example(which="hamiltonian", text=_NUMBER_FIELDS["gap"][1].replace("X", _NOT_NUMBERS["1e400-int"]))
+@example(which="state", text='{"dims": [2, 2], "matrix": [[1%s, 0]]}' % ("0" * 5000))
 def test_compute_on_arbitrary_json_exits_0_or_2(tmp_path_factory, which, text):
     work = tmp_path_factory.mktemp("fuzz")
     state, ham = work / "state.json", work / "ham.json"

@@ -135,6 +135,15 @@ def test_from_bloch_axis_matrix():
         dynamics.LocalHamiltonian.from_bloch_axis([0.0, math.inf, 1.0], 1.0)
 
 
+@pytest.mark.parametrize("scale", [2.41054866170259e-158, 1e-300, 1e200])
+def test_from_bloch_axis_normalizes_tiny_and_huge_axes(scale):
+    # the squared norm of these axes under- or overflows
+    for direction in ([0.0, 0.0, 1.0], [1.0, 0.0, 1.0]):
+        ham = dynamics.LocalHamiltonian.from_bloch_axis(np.multiply(scale, direction), 2.0)
+        unit = dynamics.LocalHamiltonian.from_bloch_axis(direction, 2.0)
+        assert np.array_equal(ham.projectors, unit.projectors)
+
+
 def test_evolve_identity_cases():
     bell = bell_state()
     assert np.max(np.abs(dynamics.evolve(bell, DIAG_QUBIT, 0.0).mat - bell.mat)) == 0.0

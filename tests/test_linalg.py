@@ -217,10 +217,10 @@ def test_hs_norm_equals_eigenvalue_square_sum(rng):
 def test_pairs_codec_roundtrip(rng):
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     pairs = linalg.matrix_to_pairs(a)
-    back = linalg.pairs_to_matrix(pairs, 3, 3)
+    back = linalg.pairs_to_matrix(pairs, 3, 3, "matrix")
     assert np.array_equal(a, back)
     with pytest.raises(DimensionMismatch):
-        linalg.pairs_to_matrix(pairs, 2, 2)
+        linalg.pairs_to_matrix(pairs, 2, 2, "matrix")
 
 
 def test_haar_unitary_is_unitary(rng):

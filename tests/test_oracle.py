@@ -198,6 +198,23 @@ def test_cq_search_monotone_in_starts():
     assert fine <= coarse + 1e-12
 
 
+def test_wrong_dimension_hamiltonian_raises_the_same_error_on_every_route():
+    rho = states.random_state((3, 2), seed=0)
+    ham = dynamics.LocalHamiltonian.from_bloch_axis([0.0, 0.0, 1.0], 1.0)
+    routes = (
+        lambda: dynamics.impact(rho, ham, 0.5),
+        lambda: dynamics.impact_power_result(rho, ham),
+        lambda: oracle.impact_power_grid(rho, ham, grid_points=16),
+        lambda: oracle.unitary_expm_evolve(rho, ham, 0.5),
+    )
+    messages = set()
+    for route in routes:
+        with pytest.raises(DimensionMismatch) as excinfo:
+            route()
+        messages.add(str(excinfo.value))
+    assert messages == {"Hamiltonian acts on dimension 2, state has d_A = 3"}
+
+
 def test_cq_search_requires_two_qubits():
     with pytest.raises(DimensionMismatch):
         oracle.discord_cq_search(states.random_state((2, 3), seed=0))
@@ -270,12 +287,17 @@ def _sphere_bowl(axes):
 
 @pytest.mark.parametrize("minimize", [True, False])
 def test_stacked_refine_matches_sequential_loop(minimize):
-    for start in oracle.fibonacci_sphere_axes(6, seed=1, jitter=0.5):
+    # the reference: the first best lattice axis, then the one-at-a-time descent
+    sign = 1.0 if minimize else -1.0
+    for seed in range(6):
+        axes = oracle.fibonacci_sphere_axes(40, seed=seed, jitter=0.5)
+        values = _sphere_bowl(axes)
+        start = axes[int(np.argmin(values) if minimize else np.argmax(values))]
         expected = _sequential_refine_axis(_sphere_bowl, start, minimize=minimize)
-        found = oracle._refine_axis(_sphere_bowl, start, float(_sphere_bowl(start)), minimize=minimize)
-        assert found[0] == expected[0]
-        assert np.array_equal(found[1], expected[1])
-        assert not np.array_equal(found[1], start)
+        found = oracle._axis_search(_sphere_bowl, 40, seed, sign)
+        assert found.value == expected[0]
+        assert np.array_equal(found.axis, expected[1])
+        assert not np.array_equal(found.axis, start)
 
 
 @pytest.mark.parametrize("chunk", [1, 5, 64])
