@@ -176,15 +176,21 @@ def _joint_diagonal_weight(a: np.ndarray) -> np.ndarray:
     # place; returns sum_k sum_i |a_kii|^2 per start.  For each pair (p, q),
     # sum_k |a_kpp - a_kqq|^2 after a rotation is v^T G v for a unit v in R^3
     # (v = e_0 for no rotation), so the top eigenvector of G gives the best one.
-    # Only starts that gain beyond round-off are rotated.  A start that a whole
-    # sweep leaves alone is a fixed point, so stop after a sweep that rotates none.
-    d = a.shape[-1]
+    # Only starts that gain beyond round-off are rotated: all of them through
+    # views of rows and columns p, q, a subset through a boolean-index copy.
+    # A start that a whole sweep leaves alone is a fixed point, so stop after
+    # a sweep that rotates none.
+    n_starts, n_blocks, d, _ = a.shape
+    h = np.empty((n_starts, 3, n_blocks), dtype=complex)
+    rotations = np.empty((n_starts, 1, 2, 2), dtype=complex)
     for _ in range(_MAX_SWEEPS):
         rotated = False
         for p in range(d - 1):
             for q in range(p + 1, d):
                 app, apq, aqp, aqq = a[..., p, p], a[..., p, q], a[..., q, p], a[..., q, q]
-                h = np.stack([app - aqq, apq + aqp, 1j * (aqp - apq)], axis=1)
+                np.subtract(app, aqq, out=h[:, 0])
+                np.add(apq, aqp, out=h[:, 1])
+                np.multiply(1j, aqp - apq, out=h[:, 2])
                 g = (h @ h.conj().swapaxes(-1, -2)).real
                 vals, vecs = np.linalg.eigh(g)
                 gain = vals[:, -1] - g[:, 0, 0] > _GAIN_ROUNDOFF * vals[:, -1]
@@ -194,11 +200,17 @@ def _joint_diagonal_weight(a: np.ndarray) -> np.ndarray:
                 x, y, z = (v * np.copysign(1.0, v[:, :1])).T
                 c = np.sqrt((1.0 + x) / 2.0)
                 s = (y - 1j * z) / np.sqrt(2.0 * (1.0 + x))
-                rot = np.stack([c, -s.conj(), s, c], axis=-1).reshape(-1, 1, 2, 2)
-                b = a[gain]
-                b[..., [p, q], :] = rot.conj().swapaxes(-1, -2) @ b[..., [p, q], :]
-                b[..., [p, q]] = b[..., [p, q]] @ rot
-                a[gain] = b
+                rot = rotations[: len(v)]
+                rot[:, 0, 0, 0], rot[:, 0, 0, 1], rot[:, 0, 1, 0], rot[:, 0, 1, 1] = c, -s.conj(), s, c
+                if len(v) == n_starts:
+                    pq = slice(p, q + 1, q - p)
+                    a[..., pq, :] = rot.conj().swapaxes(-1, -2) @ a[..., pq, :]
+                    a[..., pq] = a[..., pq] @ rot
+                else:
+                    b = a[gain]
+                    b[..., [p, q], :] = rot.conj().swapaxes(-1, -2) @ b[..., [p, q], :]
+                    b[..., [p, q]] = b[..., [p, q]] @ rot
+                    a[gain] = b
                 rotated = True
         if not rotated:
             break

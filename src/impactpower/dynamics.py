@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -218,7 +219,10 @@ class LocalHamiltonian:
         if not 1e-150 < largest < 1e150:  # the squares in its norm would under- or overflow
             axis = axis / largest
         nrm = float(np.linalg.norm(axis))
-        gap = float(gap)
+        try:
+            gap = float(gap)
+        except OverflowError:
+            raise OutOfRange(f"gap {reprlib.repr(gap)} does not fit a float") from None
         if not math.isfinite(gap):
             raise OutOfRange(f"gap {gap!r} is non-finite")
         axis = axis / nrm
@@ -240,13 +244,6 @@ class ImpactCoefficients:
 
     a: float
     b: np.ndarray
-
-    def pairs(self):
-        """Iterate (l, k, b_lk) over l > k."""
-        n = self.b.shape[0]
-        for l in range(1, n):
-            for k in range(l):
-                yield l, k, float(self.b[l, k])
 
 
 @dataclass(frozen=True)
@@ -419,7 +416,7 @@ def hamiltonian_to_dict(h: LocalHamiltonian) -> dict:
 
 def hamiltonian_from_dict(data: dict) -> LocalHamiltonian:
     try:
-        d_a = linalg.json_int(data["dA"])
+        d_a = linalg.json_int(data["dA"], "dA")
         if "bloch_axis" in data:
             if d_a != 2:
                 raise InvalidHamiltonian("bloch_axis shorthand requires dA = 2")

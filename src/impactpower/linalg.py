@@ -55,21 +55,21 @@ def _bipartite_view(a: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     d_a, d_b = int(dims[0]), int(dims[1])
     a = np.asarray(a, dtype=complex)
     n = d_a * d_b
-    if a.shape != (n, n):
+    if a.shape[-2:] != (n, n):
         raise DimensionMismatch(
             f"expected a {n}x{n} matrix for dims {d_a}x{d_b}, got {a.shape}"
         )
-    return a.reshape(d_a, d_b, d_a, d_b)
+    return a.reshape(a.shape[:-2] + (d_a, d_b, d_a, d_b))
 
 
 def partial_trace_B(a: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Trace out subsystem B, returning a d_A x d_A matrix."""
-    return np.einsum("ibjb->ij", _bipartite_view(a, dims))
+    """Trace out subsystem B, returning a d_A x d_A matrix (one per matrix of a stack)."""
+    return np.einsum("...ibjb->...ij", _bipartite_view(a, dims))
 
 
 def partial_trace_A(a: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Trace out subsystem A, returning a d_B x d_B matrix."""
-    return np.einsum("aiaj->ij", _bipartite_view(a, dims))
+    """Trace out subsystem A, returning a d_B x d_B matrix (one per matrix of a stack)."""
+    return np.einsum("...aiaj->...ij", _bipartite_view(a, dims))
 
 
 def hs_norm_sq(a: np.ndarray) -> float | np.ndarray:
@@ -206,10 +206,13 @@ def pairs_to_matrix(pairs: list[list[float]], rows: int, cols: int, field: str) 
     return (flat[:, 0] + 1j * flat[:, 1]).reshape(rows, cols)
 
 
-def json_int(value) -> int:
-    """A whole number read from JSON (2 or 2.0); ValueError for 2.7, inf, true, "2" and the like."""
+def json_int(value, field: str) -> int:
+    """A whole number read from the JSON ``field`` (2 or 2.0).
+
+    ValueError naming the field for 2.7, inf, true, "2" and the like.
+    """
     if not (type(value) is int or type(value) is float and value.is_integer()):
-        raise ValueError(f"expected a whole number, got {value!r}")
+        raise ValueError(f"{field}: expected a whole number, got {reprlib.repr(value)}")
     return int(value)
 
 

@@ -12,14 +12,16 @@ value does not depend on how candidates are stacked.  The searches keep the
 candidate order, step schedule, tolerances and acceptance rule of trying one
 candidate at a time: golden sections run in lockstep, one scalar search per
 bracket, and a descent round accepts the first improving candidate of its
-stack and re-stacks the remaining moves from there.
+stack and re-stacks the remaining moves from there.  A descent round is a
+coroutine that yields its stacks, so the starts of the CQ multistart run in
+lockstep, one coroutine each, with one stacked evaluation for all of them.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Generator, NamedTuple
 
 import numpy as np
 
@@ -35,12 +37,17 @@ _ANGLE_STEP_MIN = 1e-8
 _ACCEPT_MARGIN = 1e-18
 #: most matrices in one stacked evaluation; bounds the temporaries, not the result
 _CHUNK = 64
-_UNIT_GAP_ENERGIES = np.array([0.0, 1.0])
+#: phase rates -i E of the unit-gap qubit Hamiltonian, energies 0 and 1
+_UNIT_GAP_RATES = -1j * np.array([0.0, 1.0])
 #: row i is the Pauli matrix sigma_i flattened, so axes @ rows gives r.sigma
 _PAULI_ROWS = np.array(linalg.PAULIS).reshape(3, 4)
 #: row i is sigma_i transposed and flattened, so rows @ vec(B) gives Tr(B sigma_i)
 _PAULI_T_ROWS = np.array([s.T for s in linalg.PAULIS]).reshape(3, 4)
 _EYE2 = np.eye(2, dtype=complex)
+#: CQ coordinate move 2 i + s adds (step, -step)[s] to parameter i, column 3 + i of a CQ row
+_MOVE_COLUMNS = 3 + np.repeat(np.arange(7), 2)
+_MOVE_SIGNS = np.tile([1.0, -1.0], 7)
+_MOVE_ROWS = np.arange(14)
 
 
 class GridMax(NamedTuple):
@@ -77,17 +84,21 @@ def fibonacci_sphere_axes(
     return axes
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross(a: list[float], b: list[float]) -> np.ndarray:
     """a x b for two 3-vectors, the products and differences of ``np.cross``."""
-    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+    (a0, a1, a2), (b0, b1, b2) = a, b
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def _tangent_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    helper = np.zeros(3)
-    helper[int(np.argmin(np.abs(axis)))] = 1.0
-    t1 = _cross(axis, helper)
-    t1 /= np.linalg.norm(t1)
-    return t1, _cross(axis, t1)
+    a = axis.tolist()
+    helper = [0.0, 0.0, 0.0]
+    # the first component smallest in magnitude, as np.argmin takes it
+    helper[min(range(3), key=lambda i: abs(a[i]))] = 1.0
+    t1 = _cross(a, helper)
+    # the arithmetic of np.linalg.norm for a real vector
+    t1 /= math.sqrt(t1.dot(t1))
+    return t1, _cross(a, t1.tolist())
 
 
 def _chunked(kernel: Callable[[np.ndarray], np.ndarray], items: np.ndarray) -> np.ndarray:
@@ -96,7 +107,35 @@ def _chunked(kernel: Callable[[np.ndarray], np.ndarray], items: np.ndarray) -> n
     Every kernel computes each row independently of the others, so the split
     changes memory use only, never a value.
     """
+    if len(items) <= _CHUNK:
+        return kernel(items)
     return np.concatenate([kernel(items[i : i + _CHUNK]) for i in range(0, len(items), _CHUNK)])
+
+
+def _improvement_steps(
+    candidates: Callable[[np.ndarray, int], np.ndarray], point: np.ndarray, value: float, count: int
+) -> Generator[np.ndarray, np.ndarray, tuple[np.ndarray, float, bool]]:
+    """One round of ``count`` ordered moves as a coroutine, accepting every improving one.
+
+    ``candidates(point, k)`` stacks moves ``k, ..., count - 1`` applied to
+    ``point``; each stack is yielded and one value per row is received.  The
+    first row below ``value`` by more than the acceptance margin is taken and
+    the moves after it are re-stacked from the new point, which is exactly
+    the sequence of moves that trying them one at a time accepts.  Returns
+    (point, value, improved).
+    """
+    improved = False
+    k = 0
+    while k < count:
+        stack = candidates(point, k)
+        values = (yield stack).tolist()
+        threshold = value - _ACCEPT_MARGIN
+        j = next((i for i, v in enumerate(values) if v < threshold), None)
+        if j is None:
+            break
+        point, value, improved = stack[j], values[j], True
+        k += j + 1
+    return point, value, improved
 
 
 def _first_improvement(
@@ -106,26 +145,14 @@ def _first_improvement(
     value: float,
     count: int,
 ) -> tuple[np.ndarray, float, bool]:
-    """One round of ``count`` ordered moves, accepting every improving one.
-
-    ``candidates(point, k)`` stacks moves ``k, ..., count - 1`` applied to
-    ``point``, and ``objective`` maps that stack to one value per row.  The
-    first row below ``value`` by more than the acceptance margin is taken and
-    the moves after it are re-stacked from the new point, which is exactly
-    the sequence of moves that trying them one at a time accepts.
-    """
-    improved = False
-    k = 0
-    while k < count:
-        stack = candidates(point, k)
-        values = objective(stack)
-        hits = values < value - _ACCEPT_MARGIN
-        if not hits.any():
-            break
-        j = int(hits.argmax())
-        point, value, improved = stack[j], float(values[j]), True
-        k += j + 1
-    return point, value, improved
+    """:func:`_improvement_steps` with each stack mapped to its values by ``objective``."""
+    steps = _improvement_steps(candidates, point, value, count)
+    try:
+        stack = next(steps)
+        while True:
+            stack = steps.send(objective(stack))
+    except StopIteration as done:
+        return done.value
 
 
 def _sphere_moves(axis: np.ndarray, step: float) -> Callable[[np.ndarray, int], np.ndarray]:
@@ -135,11 +162,11 @@ def _sphere_moves(axis: np.ndarray, step: float) -> Callable[[np.ndarray, int], 
     rotate the accepted point along them.
     """
     t1, t2 = _tangent_basis(axis)
-    directions = np.array([t1, -t1, t2, -t2])
-    cos, sin = math.cos(step), math.sin(step)
+    cos = math.cos(step)
+    turns = math.sin(step) * np.array([t1, -t1, t2, -t2])
 
     def candidates(point: np.ndarray, k: int) -> np.ndarray:
-        cand = cos * point + sin * directions[k:]
+        cand = cos * point + turns[k:]
         return cand / np.sqrt(np.vecdot(cand, cand))[:, None]
 
     return candidates
@@ -204,7 +231,9 @@ def _golden_max(
 def _pauli_combination(vectors: np.ndarray) -> np.ndarray:
     """r.sigma for a real 3-vector r, or for each row of an ``(..., 3)`` stack."""
     vectors = np.asarray(vectors, dtype=float)
-    return (vectors @ _PAULI_ROWS).reshape(vectors.shape[:-1] + (2, 2))
+    # one product for the whole stack: each entry is one signed component of
+    # r, so the product is exact however it is summed
+    return (vectors.reshape(-1, 3) @ _PAULI_ROWS).reshape(vectors.shape[:-1] + (2, 2))
 
 
 def _qubit_projectors(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,26 +252,26 @@ def _dephasing_distances(rho: DensityMatrix, axes: np.ndarray) -> np.ndarray:
     return 2.0 * linalg.hs_norm_sq(rho.mat - dephased)
 
 
-def _direct_impacts(
-    mat: np.ndarray, embedded: np.ndarray, energies: np.ndarray, t: np.ndarray
-) -> np.ndarray:
+def _direct_impacts(mat: np.ndarray, embedded: np.ndarray, rates: np.ndarray, t: np.ndarray) -> np.ndarray:
     """(1/2) ||U rho U^dagger - rho||^2 with U = sum_l exp(-i E_l t) Pi_l (x) 1_B.
 
-    ``embedded`` is a ``(..., L, n, n)`` stack of embedded projectors and
-    ``t`` an array of times broadcasting against its leading axes.
+    ``rates`` holds the phase rates -i E_l, ``embedded`` is a
+    ``(..., L, n, n)`` stack of embedded projectors and ``t`` an array of
+    times broadcasting against its leading axes.
     """
-    phases = np.exp(-1j * energies * t[..., None])
+    phases = np.exp(rates * t[..., None])
     u = np.add.reduce(phases[..., None, None] * embedded, axis=-3)
     delta = u @ mat @ u.conj().swapaxes(-1, -2) - mat
     return 0.5 * linalg.hs_norm_sq(delta)
 
 
 def _grid_golden_max(
-    mat: np.ndarray, embedded: np.ndarray, energies: np.ndarray, span: float, grid_points: int
+    mat: np.ndarray, embedded: np.ndarray, rates: np.ndarray, span: float, grid_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per projector set in the ``(N, L, n, n)`` stack ``embedded``: the best
-    direct impact on the grid span/grid_points * (1, ..., grid_points), then
-    polished by golden section over the neighbouring grid cells.
+    direct impact (phase rates ``rates``) on the grid
+    span/grid_points * (1, ..., grid_points), then polished by golden section
+    over the neighbouring grid cells.
 
     Returns (values, times), each of length N.
     """
@@ -252,7 +281,7 @@ def _grid_golden_max(
     block = max(1, _CHUNK // n)
     grid = np.concatenate(
         [
-            _direct_impacts(mat, embedded[:, None], energies, times[None, j : j + block])
+            _direct_impacts(mat, embedded[:, None], rates, times[None, j : j + block])
             for j in range(0, grid_points, block)
         ],
         axis=1,
@@ -262,9 +291,12 @@ def _grid_golden_max(
     best_t = times[best]
     lo = np.maximum(best_t - step, step * 1e-9)
     hi = np.minimum(best_t + step, span)
-    val, t = _golden_max(
-        lambda x, active: _direct_impacts(mat, embedded[active], energies, x), lo, hi, _TIME_TOL
-    )
+
+    def polish(x: np.ndarray, active: np.ndarray) -> np.ndarray:
+        # while every bracket is live, the whole stack is the active one
+        return _direct_impacts(mat, embedded if len(active) == n else embedded[active], rates, x)
+
+    val, t = _golden_max(polish, lo, hi, _TIME_TOL)
     polished = val >= best_val
     return np.where(polished, val, best_val), np.where(polished, t, best_t)
 
@@ -282,7 +314,7 @@ def impact_power_grid(
     if h.trivial:
         raise DegenerateHamiltonian("impact power grid search needs at least two distinct levels")
     embedded = linalg.tensor(h.projectors, np.eye(rho.d_b, dtype=complex))
-    value, t = _grid_golden_max(rho.mat, embedded[None], h.energies, h.period, grid_points)
+    value, t = _grid_golden_max(rho.mat, embedded[None], -1j * h.energies, h.period, grid_points)
     return GridMax(value=float(value[0]), t=float(t[0]))
 
 
@@ -305,7 +337,7 @@ def _qubit_impact_powers(rho: DensityMatrix, axes: np.ndarray, grid_points: int)
     projectors = np.stack(_qubit_projectors(axes), axis=-3)
     embedded = linalg.tensor(projectors, np.eye(rho.d_b, dtype=complex))
     # energies 0 and 1: the slowest oscillation has period 2 pi
-    value, _ = _grid_golden_max(rho.mat, embedded, _UNIT_GAP_ENERGIES, 2.0 * math.pi, grid_points)
+    value, _ = _grid_golden_max(rho.mat, embedded, _UNIT_GAP_RATES, 2.0 * math.pi, grid_points)
     return value
 
 
@@ -376,17 +408,108 @@ def _cq_distances(target: np.ndarray, pp: np.ndarray, blocks: np.ndarray) -> np.
     return linalg.hs_norm_sq(target - omega)
 
 
-def _coordinate_moves(step: float) -> Callable[[np.ndarray, int], np.ndarray]:
-    """Move 2 i + s adds (step, -step)[s] to coordinate i of the 7 CQ parameters."""
-    coords = np.repeat(np.arange(7), 2)
-    deltas = np.tile([step, -step], 7)
+def _cq_row_distances(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """:func:`_cq_distances` for each CQ row [axis, p, u, v] of an ``(N, 10)`` stack:
+    the measurement axis in columns 0-2, the parameters of :func:`_cq_blocks` after it."""
+    return _cq_distances(target, _qubit_projectors(rows[:, :3])[0], _cq_blocks(rows[:, 3:]))
 
-    def candidates(rest: np.ndarray, k: int) -> np.ndarray:
-        stack = np.repeat(rest[None], coords.size - k, axis=0)
-        stack[np.arange(coords.size - k), coords[k:]] += deltas[k:]
+
+def _conditional_rests(rho: DensityMatrix, axes: np.ndarray) -> np.ndarray:
+    """Per axis of an ``(N, 3)`` stack, the weight and block Bloch vectors read off
+    rho measured along it: the optimal CQ parameters for that axis."""
+    embedded = linalg.tensor(np.stack(_qubit_projectors(axes), axis=-3), _EYE2)
+    blocks = linalg.partial_trace_A(embedded @ rho.mat @ embedded, rho.dims)
+    weights = np.trace(blocks, axis1=-2, axis2=-1).real
+    kept = weights > 1e-12
+    # Tr(block sigma_i), a sum of two entries, so exact in any order
+    bloch = ((blocks / np.where(kept, weights, 1.0)[..., None, None]).reshape(-1, 2, 4) @ _PAULI_T_ROWS.T).real
+    bloch[~kept] = 0.0
+    return np.concatenate([weights[:, :1], bloch.reshape(-1, 6)], axis=1)
+
+
+def _axis_turns(axis: np.ndarray, step: float) -> Callable[[np.ndarray, int], np.ndarray]:
+    """:func:`_sphere_moves` of the axis of a CQ row, its parameters held."""
+    turns = _sphere_moves(axis, step)
+
+    def candidates(row: np.ndarray, k: int) -> np.ndarray:
+        stack = np.repeat(row[None], 4 - k, axis=0)
+        stack[:, :3] = turns(row[:3], k)
         return stack
 
     return candidates
+
+
+def _coordinate_moves(step: float) -> Callable[[np.ndarray, int], np.ndarray]:
+    """Move 2 i + s adds (step, -step)[s] to CQ parameter i of a row."""
+    deltas = step * _MOVE_SIGNS
+
+    def candidates(row: np.ndarray, k: int) -> np.ndarray:
+        stack = np.repeat(row[None], 14 - k, axis=0)
+        stack[_MOVE_ROWS[: 14 - k], _MOVE_COLUMNS[k:]] += deltas[k:]
+        return stack
+
+    return candidates
+
+
+def _cq_descent(row: np.ndarray, value: float) -> Generator[np.ndarray, np.ndarray | tuple, float]:
+    """One start of :func:`discord_cq_search` as a coroutine, from the CQ row ``row``.
+
+    Yields a stack of rows and receives their distances, or yields an axis
+    alone for the conditional step and receives its conditional row with
+    that row's distance.  Returns the start's final distance.
+    """
+    step = 0.25
+    while step > 1e-5:
+        row, value, turned = yield from _improvement_steps(_axis_turns(row[:3], step), row, value, 4)
+        row, value, shifted = yield from _improvement_steps(_coordinate_moves(step), row, value, 14)
+        improved = turned or shifted
+        # exact block-coordinate step: re-optimize weight and blocks for
+        # the current axis, which the conditional data achieves.  At an
+        # axis that has not turned since the last such step it would
+        # repeat that step's value, which the distance has not risen
+        # above since, so it is taken only after a turn.
+        if turned:
+            cand, val = yield row[:3]
+            if val < value - _ACCEPT_MARGIN:
+                row, value, improved = cand, val, True
+        if not improved:
+            step *= 0.5
+    return value
+
+
+def _cq_lockstep(rho: DensityMatrix, descents: list[Generator]) -> list[float]:
+    """The final distance of each :func:`_cq_descent`, all run in lockstep.
+
+    One tick answers every unfinished start at once: the axes asking for the
+    conditional step get their rows from one :func:`_conditional_rests` call,
+    and those rows join the move stacks of the other starts in one distance
+    evaluation.  Every row is computed on its own, so each start takes the
+    steps it would take alone.
+    """
+    finals = [math.inf] * len(descents)
+    pending = [(i, descent, next(descent)) for i, descent in enumerate(descents)]
+    while pending:
+        stacks = [request for _, _, request in pending if request.ndim == 2]
+        asked = [request for _, _, request in pending if request.ndim == 1]
+        if asked:
+            axes = np.array(asked)
+            stacks.append(np.concatenate([axes, _conditional_rests(rho, axes)], axis=1))
+        values = _chunked(partial(_cq_row_distances, rho.mat), np.concatenate(stacks))
+        # the conditional rows come last: one (row, distance) answer per asking start
+        answers = zip(stacks[-1], values[len(values) - len(asked) :].tolist())
+        running = []
+        at = 0
+        for i, descent, request in pending:
+            if request.ndim == 2:
+                reply, at = values[at : at + len(request)], at + len(request)
+            else:
+                reply = next(answers)
+            try:
+                running.append((i, descent, descent.send(reply)))
+            except StopIteration as done:
+                finals[i] = done.value
+        pending = running
+    return finals
 
 
 def discord_cq_search(
@@ -396,74 +519,21 @@ def discord_cq_search(
 
     A candidate is parameterized by a measurement axis (two angles), a weight
     p, and two B-side Bloch vectors; the distance ||rho - omega||^2 is then
-    minimized by multistart coordinate descent, ``samples`` starts in total.
-    The result is an upper bound that tightens with more starts.
+    minimized by multistart coordinate descent, ``samples`` starts in total,
+    run in lockstep.  The result is an upper bound that tightens with more
+    starts.
     """
     if rho.dims != (2, 2):
         raise DimensionMismatch(f"discord_cq_search requires dims (2, 2), got {rho.dims}")
     rng = np.random.default_rng(seed)
-    target = rho.mat
-
-    def conditional_rest(axis: np.ndarray) -> np.ndarray:
-        # weight and block Bloch vectors read off the measured state, the
-        # optimal feasible point for this axis
-        p_plus, p_minus = _qubit_projectors(axis)
-        rest = np.zeros(7)
-        for offset, proj in ((1, p_plus), (4, p_minus)):
-            embedded = linalg.tensor(proj, _EYE2)
-            block = linalg.partial_trace_A(embedded @ rho.mat @ embedded, rho.dims)
-            weight = float(np.trace(block).real)
-            if offset == 1:
-                rest[0] = weight
-            if weight > 1e-12:
-                # Tr(block sigma_i), a sum of two entries, so exact in any order
-                rest[offset : offset + 3] = (_PAULI_T_ROWS @ (block / weight).reshape(4)).real
-        return rest
-
     lattice_starts = max(samples // 2, 1)
     # one draw for the random starts, each row normalized on its own: the
     # stream and the bits of one standard_normal(3) call per start
     random_axes = rng.standard_normal((max(samples - lattice_starts, 0), 3))
-    start_axes = [*fibonacci_sphere_axes(lattice_starts), *(a / np.linalg.norm(a) for a in random_axes)]
-
-    best = math.inf
-    for axis in start_axes:
-        rest = conditional_rest(axis)
-        value = _cq_distances(target, _qubit_projectors(axis)[0], _cq_blocks(rest))
-        step = 0.25
-        while step > 1e-5:
-            blocks = _cq_blocks(rest)
-            axis, value, turned = _first_improvement(
-                lambda axes: _cq_distances(target, _qubit_projectors(axes)[0], blocks),
-                _sphere_moves(axis, step),
-                axis,
-                value,
-                4,
-            )
-            pp = _qubit_projectors(axis)[0]
-            rest, value, shifted = _first_improvement(
-                lambda rests: _cq_distances(target, pp, _cq_blocks(rests)),
-                _coordinate_moves(step),
-                rest,
-                value,
-                14,
-            )
-            improved = turned or shifted
-            # exact block-coordinate step: re-optimize weight and blocks for
-            # the current axis, which the conditional data achieves.  At an
-            # axis that has not turned since the last such step it would
-            # repeat that step's value, which the distance has not risen
-            # above since, so it is taken only after a turn.
-            if turned:
-                cand = conditional_rest(axis)
-                val = _cq_distances(target, pp, _cq_blocks(cand))
-                if val < value - _ACCEPT_MARGIN:
-                    rest, value = cand, val
-                    improved = True
-            if not improved:
-                step *= 0.5
-        best = min(best, value)
-    return max(best, 0.0)
+    axes = np.array([*fibonacci_sphere_axes(lattice_starts), *(a / np.linalg.norm(a) for a in random_axes)])
+    rows = np.concatenate([axes, _conditional_rests(rho, axes)], axis=1)
+    values = _chunked(partial(_cq_row_distances, rho.mat), rows).tolist()
+    return max(min(_cq_lockstep(rho, [_cq_descent(row, value) for row, value in zip(rows, values)])), 0.0)
 
 
 def _trace_impacts(rho: DensityMatrix, axes: np.ndarray) -> np.ndarray:

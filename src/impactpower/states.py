@@ -372,7 +372,7 @@ def state_to_dict(rho: DensityMatrix) -> dict:
 
 def state_from_dict(data: dict) -> DensityMatrix:
     try:
-        d_a, d_b = (linalg.json_int(v) for v in data["dims"])
+        d_a, d_b = (linalg.json_int(v, "dims") for v in data["dims"])
         mat = linalg.pairs_to_matrix(data["matrix"], d_a * d_b, d_a * d_b, "matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDensityMatrix(f"malformed state object: {exc}") from exc

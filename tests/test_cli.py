@@ -482,9 +482,9 @@ _BAD_DIMS = {"2.7": 2.7, "inf": float("inf")}
 @pytest.mark.parametrize("d_a", sorted(_BAD_DIMS))
 def test_json_dimensions_must_be_whole_numbers(capsys, tmp_path, werner_file, d_a):
     value = _BAD_DIMS[d_a]
-    with pytest.raises(InvalidDensityMatrix, match="whole number"):
+    with pytest.raises(InvalidDensityMatrix, match="dims: expected a whole number"):
         states.state_from_dict({"dims": [value, 2], "matrix": _MIXED_PAIRS})
-    with pytest.raises(InvalidHamiltonian, match="whole number"):
+    with pytest.raises(InvalidHamiltonian, match="dA: expected a whole number"):
         dynamics.hamiltonian_from_dict({"dA": value, "bloch_axis": [0, 0, 1], "gap": 1.0})
     raw = "1e400" if value == float("inf") else repr(value)
     state = tmp_path / "state.json"

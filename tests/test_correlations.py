@@ -283,6 +283,57 @@ def test_measurement_min_discord_stack_matches_per_start_sweeps_bit_for_bit(monk
         assert np.float64(value).tobytes() == np.float64(expected).tobytes(), k
 
 
+
+def _frozen_boolean_index_sweeps(a):
+    # the stacked sweeps that rotate every gaining start through a
+    # boolean-index copy and write it back, kept to pin the in-place rotation
+    d = a.shape[-1]
+    for _ in range(correlations._MAX_SWEEPS):
+        rotated = False
+        for p in range(d - 1):
+            for q in range(p + 1, d):
+                app, apq, aqp, aqq = a[..., p, p], a[..., p, q], a[..., q, p], a[..., q, q]
+                h = np.stack([app - aqq, apq + aqp, 1j * (aqp - apq)], axis=1)
+                g = (h @ h.conj().swapaxes(-1, -2)).real
+                vals, vecs = np.linalg.eigh(g)
+                gain = vals[:, -1] - g[:, 0, 0] > correlations._GAIN_ROUNDOFF * vals[:, -1]
+                if not gain.any():
+                    continue
+                v = vecs[gain, :, -1]
+                x, y, z = (v * np.copysign(1.0, v[:, :1])).T
+                c = np.sqrt((1.0 + x) / 2.0)
+                s = (y - 1j * z) / np.sqrt(2.0 * (1.0 + x))
+                rot = np.stack([c, -s.conj(), s, c], axis=-1).reshape(-1, 1, 2, 2)
+                b = a[gain]
+                b[..., [p, q], :] = rot.conj().swapaxes(-1, -2) @ b[..., [p, q], :]
+                b[..., [p, q]] = b[..., [p, q]] @ rot
+                a[gain] = b
+                rotated = True
+        if not rotated:
+            break
+    return linalg.hs_norm_sq(np.diagonal(a, axis1=-2, axis2=-1))
+
+
+@pytest.mark.parametrize("dims", [(3, 2), (3, 3), (4, 2), (5, 2), (3, 4)])
+def test_in_place_sweeps_match_boolean_index_sweeps_bit_for_bit(dims):
+    # full rank, rank 1 and rank 2, each with 1, 2 and 12 starts: a single
+    # start always rotates in place, more starts mix the two routes
+    d_a = dims[0]
+    for rank in (dims[0] * dims[1], 1, 2):
+        for starts in (1, 2, 12):
+            for i in range(3):
+                rho = states.random_state(dims, rank=rank, seed=[19, rank, starts, i])
+                rng = np.random.default_rng([20, rank, starts, i])
+                draws = [linalg.haar_unitary(d_a, rng) for _ in range(starts - 1)]
+                u = np.stack([np.eye(d_a, dtype=complex)] + draws)
+                rho4 = rho.mat.reshape(d_a, dims[1], d_a, dims[1])
+                blocks = np.einsum("sai,abcd,scj->sbdij", u.conj(), rho4, u).reshape(starts, -1, d_a, d_a)
+                frozen = blocks.copy()
+                weights = correlations._joint_diagonal_weight(blocks)
+                assert weights.tobytes() == _frozen_boolean_index_sweeps(frozen).tobytes()
+                assert blocks.tobytes() == frozen.tobytes()
+
+
 def _reference_p_extrema(rho):
     # the per-state formula: M entry by entry from X_i = rho (sigma_i (x) 1)
     eye_b = np.eye(rho.d_b, dtype=complex)

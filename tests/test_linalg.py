@@ -60,6 +60,16 @@ def test_partial_trace_preserves_trace(rng):
     assert abs(np.trace(linalg.partial_trace_A(rho, (2, 3))) - 1.0) <= 1e-12
 
 
+def test_partial_traces_of_a_stack_match_each_matrix(rng):
+    stack = np.array([random_density(rng, 6) for _ in range(5)]).reshape(5, 1, 6, 6)
+    for trace in (linalg.partial_trace_A, linalg.partial_trace_B):
+        stacked = trace(stack, (3, 2))
+        for k in range(5):
+            assert stacked[k, 0].tobytes() == trace(stack[k, 0], (3, 2)).tobytes()
+    with pytest.raises(DimensionMismatch):
+        linalg.partial_trace_A(np.zeros((2, 6, 5)), (3, 2))
+
+
 def test_partial_trace_of_tensor_recovers_factor(rng):
     rho_a = random_density(rng, 3)
     rho_b = random_density(rng, 2)

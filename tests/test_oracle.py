@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from impactpower import correlations, dynamics, oracle, states
+from impactpower.linalg import PAULIS
 from impactpower.errors import DegenerateHamiltonian, DimensionMismatch, ImpactPowerError
 
 from conftest import random_hermitian
@@ -300,6 +301,109 @@ def test_stacked_refine_matches_sequential_loop(minimize):
         assert not np.array_equal(found.axis, start)
 
 
+
+def _sequential_first_improvement(objective, candidates, point, value, count):
+    improved = False
+    k = 0
+    while k < count:
+        stack = candidates(point, k)
+        values = objective(stack)
+        hits = values < value - 1e-18
+        if not hits.any():
+            break
+        j = int(hits.argmax())
+        point, value, improved = stack[j], float(values[j]), True
+        k += j + 1
+    return point, value, improved
+
+
+def _sequential_coordinate_moves(step):
+    coords = np.repeat(np.arange(7), 2)
+    deltas = np.tile([step, -step], 7)
+
+    def candidates(rest, k):
+        stack = np.repeat(rest[None], coords.size - k, axis=0)
+        stack[np.arange(coords.size - k), coords[k:]] += deltas[k:]
+        return stack
+
+    return candidates
+
+
+def _sequential_discord_cq_search(rho, samples, seed):
+    """Reference: the CQ multistart run one start after another, each start
+    with its own descent, conditional step and per-start distance calls."""
+    rng = np.random.default_rng(seed)
+    target = rho.mat
+
+    def conditional_rest(axis):
+        p_plus, p_minus = oracle._qubit_projectors(axis)
+        rest = np.zeros(7)
+        for offset, proj in ((1, p_plus), (4, p_minus)):
+            embedded = np.kron(proj, np.eye(2))
+            block = np.einsum("aiaj->ij", (embedded @ rho.mat @ embedded).reshape(2, 2, 2, 2))
+            weight = float(np.trace(block).real)
+            if offset == 1:
+                rest[0] = weight
+            if weight > 1e-12:
+                rest[offset : offset + 3] = [np.trace((block / weight) @ s).real for s in PAULIS]
+        return rest
+
+    lattice_starts = max(samples // 2, 1)
+    random_axes = rng.standard_normal((max(samples - lattice_starts, 0), 3))
+    start_axes = [*oracle.fibonacci_sphere_axes(lattice_starts), *(a / np.linalg.norm(a) for a in random_axes)]
+    best = math.inf
+    for axis in start_axes:
+        rest = conditional_rest(axis)
+        value = oracle._cq_distances(target, oracle._qubit_projectors(axis)[0], oracle._cq_blocks(rest))
+        step = 0.25
+        while step > 1e-5:
+            blocks = oracle._cq_blocks(rest)
+            axis, value, turned = _sequential_first_improvement(
+                lambda axes: oracle._cq_distances(target, oracle._qubit_projectors(axes)[0], blocks),
+                oracle._sphere_moves(axis, step),
+                axis,
+                value,
+                4,
+            )
+            pp = oracle._qubit_projectors(axis)[0]
+            rest, value, shifted = _sequential_first_improvement(
+                lambda rests: oracle._cq_distances(target, pp, oracle._cq_blocks(rests)),
+                _sequential_coordinate_moves(step),
+                rest,
+                value,
+                14,
+            )
+            improved = turned or shifted
+            if turned:
+                cand = conditional_rest(axis)
+                val = oracle._cq_distances(target, pp, oracle._cq_blocks(cand))
+                if val < value - 1e-18:
+                    rest, value = cand, val
+                    improved = True
+            if not improved:
+                step *= 0.5
+        best = min(best, value)
+    return max(best, 0.0)
+
+
+def _cq_reference_states():
+    special = [
+        bell_state(),
+        states.werner(0.3),
+        states.from_pure(np.array([1.0, 0.0, 0.0, 0.0]), (2, 2)),
+        states.classical_quantum(states.random_cq_spec((2, 2), seed=5)),
+    ]
+    return special + [states.random_state((2, 2), rank=rank, seed=[rank, i]) for rank in (1, 2, 3, 4) for i in range(3)]
+
+
+@pytest.mark.parametrize("samples", [1, 2, 8, 12])
+def test_lockstep_cq_search_matches_sequential_starts(samples):
+    # 16 states per start count, 64 in all: ranks 1-4 and the special states
+    for i, rho in enumerate(_cq_reference_states()):
+        expected = _sequential_discord_cq_search(rho, samples, [samples, i])
+        assert oracle.discord_cq_search(rho, samples=samples, seed=[samples, i]) == expected
+
+
 @pytest.mark.parametrize("chunk", [1, 5, 64])
 def test_stacked_kernels_match_per_axis(monkeypatch, chunk):
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
@@ -331,6 +435,7 @@ def test_stacked_cq_distances_match_per_row(rng):
 def test_searches_do_not_depend_on_chunking(monkeypatch):
     rho = states.random_state((2, 3), seed=12)
     qutrit = states.random_state((3, 2), seed=13)
+    two_qubit = states.random_state((2, 2), seed=14)
     ham = dynamics.LocalHamiltonian.from_matrix(np.diag([0.0, 1.0, 2.7]))
     runs = []
     for chunk in (1, 7, 64):
@@ -345,6 +450,8 @@ def test_searches_do_not_depend_on_chunking(monkeypatch):
                 *p_max.axis,
                 oracle.trace_p_min_probe(rho, samples=50, seed=3),
                 *oracle.impact_power_grid(qutrit, ham, grid_points=300),
+                # 8 lockstep starts stack up to 112 rows a tick
+                oracle.discord_cq_search(two_qubit, samples=8, seed=3),
             )
         )
     assert runs[0] == runs[1] == runs[2]
