@@ -176,10 +176,10 @@ def _joint_diagonal_weight(a: np.ndarray) -> np.ndarray:
     # place; returns sum_k sum_i |a_kii|^2 per start.  For each pair (p, q),
     # sum_k |a_kpp - a_kqq|^2 after a rotation is v^T G v for a unit v in R^3
     # (v = e_0 for no rotation), so the top eigenvector of G gives the best one.
-    # Only starts that gain beyond round-off are rotated: all of them through
-    # views of rows and columns p, q, a subset through a boolean-index copy.
-    # A start that a whole sweep leaves alone is a fixed point, so stop after
-    # a sweep that rotates none.
+    # Every start rotates in place, through views of rows and columns p, q;
+    # a start that does not gain beyond round-off gets the identity.  A start
+    # that a whole sweep leaves alone is a fixed point, so stop after a sweep
+    # in which none gains.
     n_starts, n_blocks, d, _ = a.shape
     h = np.empty((n_starts, 3, n_blocks), dtype=complex)
     rotations = np.empty((n_starts, 1, 2, 2), dtype=complex)
@@ -196,21 +196,15 @@ def _joint_diagonal_weight(a: np.ndarray) -> np.ndarray:
                 gain = vals[:, -1] - g[:, 0, 0] > _GAIN_ROUNDOFF * vals[:, -1]
                 if not gain.any():
                     continue
-                v = vecs[gain, :, -1]
+                v = vecs[..., -1]
                 x, y, z = (v * np.copysign(1.0, v[:, :1])).T
-                c = np.sqrt((1.0 + x) / 2.0)
-                s = (y - 1j * z) / np.sqrt(2.0 * (1.0 + x))
-                rot = rotations[: len(v)]
-                rot[:, 0, 0, 0], rot[:, 0, 0, 1], rot[:, 0, 1, 0], rot[:, 0, 1, 1] = c, -s.conj(), s, c
-                if len(v) == n_starts:
-                    pq = slice(p, q + 1, q - p)
-                    a[..., pq, :] = rot.conj().swapaxes(-1, -2) @ a[..., pq, :]
-                    a[..., pq] = a[..., pq] @ rot
-                else:
-                    b = a[gain]
-                    b[..., [p, q], :] = rot.conj().swapaxes(-1, -2) @ b[..., [p, q], :]
-                    b[..., [p, q]] = b[..., [p, q]] @ rot
-                    a[gain] = b
+                c = np.where(gain, np.sqrt((1.0 + x) / 2.0), 1.0)
+                s = np.where(gain, (y - 1j * z) / np.sqrt(2.0 * (1.0 + x)), 0.0)
+                rotations[:, 0, 0, 0], rotations[:, 0, 0, 1] = c, -s.conj()
+                rotations[:, 0, 1, 0], rotations[:, 0, 1, 1] = s, c
+                pq = slice(p, q + 1, q - p)
+                a[..., pq, :] = rotations.conj().swapaxes(-1, -2) @ a[..., pq, :]
+                a[..., pq] = a[..., pq] @ rotations
                 rotated = True
         if not rotated:
             break

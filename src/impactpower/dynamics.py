@@ -384,8 +384,8 @@ def impact_power_result(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactPowerR
     t_grid = (best + 1.0) * step  # the same float as every evaluation of grid point i
     lo = max(t_grid - step, step * 1e-6)
     hi = min(t_grid + step, span)
-    value, t_best = linalg.golden_max(
-        lambda t: float(profile(np.array([t]))[0]), lo, hi, TIME_REFINE_TOL
+    [(value, t_best)] = linalg._lockstep(
+        [linalg._golden_steps(lo, hi, TIME_REFINE_TOL)], lambda _, ts: profile(np.array(ts)).tolist()
     )
     value = max(value, best_value)
     if value == best_value:

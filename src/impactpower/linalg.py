@@ -10,9 +10,10 @@ Hermitian eigendecomposition goes through LAPACK (``numpy.linalg.eigh`` and
 Hermitian within a stated tolerance; only the exact Hermitian part is handed
 to the solver.
 
-The module also holds the one golden-section search of the package, a scalar
-coroutine with a short driver beside it.  The impact-power routes share it as
-generic search machinery while each keeps its own objective, grid and tolerance.
+The module also holds the generic search machinery of the package: the one
+golden-section search, a scalar coroutine, and the one driver that runs search
+coroutines in lockstep.  The impact-power routes share both while each keeps its
+own objective, grid and tolerance.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def _checked_hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a_dag) / 2.0
 
 
-def golden_steps(lo: float, hi: float, tol: float) -> Generator[float, float, tuple[float, float]]:
+def _golden_steps(lo: float, hi: float, tol: float) -> Generator[float, float, tuple[float, float]]:
     """Golden-section maximization on [lo, hi] as a coroutine.
 
     Yields each abscissa and receives the objective value there; returns
@@ -170,15 +171,25 @@ def golden_steps(lo: float, hi: float, tol: float) -> Generator[float, float, tu
     return (f1, x1) if f1 >= f2 else (f2, x2)
 
 
-def golden_max(f: Callable[[float], float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """(best value, its abscissa) of :func:`golden_steps` on a scalar objective f."""
-    search = golden_steps(lo, hi, tol)
-    x = next(search)
-    try:
-        while True:
-            x = search.send(f(x))
-    except StopIteration as done:
-        return done.value
+def _lockstep(searches: list[Generator], answer: Callable[[list[int], list], list]) -> list:
+    """Run the coroutines ``searches`` in lockstep; returns their return values, in order.
+
+    Each round hands the pending requests of the unfinished searches, with
+    their indices in ascending order, to one ``answer(indices, requests)``
+    call and sends each search the matching item of the replies it returns.
+    """
+    results = [None] * len(searches)
+    pending = [(i, search, next(search)) for i, search in enumerate(searches)]
+    while pending:
+        replies = answer([i for i, _, _ in pending], [request for _, _, request in pending])
+        running = []
+        for (i, search, _), reply in zip(pending, replies):
+            try:
+                running.append((i, search, search.send(reply)))
+            except StopIteration as done:
+                results[i] = done.value
+        pending = running
+    return results
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:

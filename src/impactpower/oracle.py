@@ -10,11 +10,11 @@ candidates (axes, times or CQ parameters) in one numpy pass, at most
 ``_CHUNK`` matrices at a time, and every row is computed on its own, so a
 value does not depend on how candidates are stacked.  The searches keep the
 candidate order, step schedule, tolerances and acceptance rule of trying one
-candidate at a time: golden sections run in lockstep, one scalar search per
-bracket, and a descent round accepts the first improving candidate of its
-stack and re-stacks the remaining moves from there.  A descent round is a
-coroutine that yields its stacks, so the starts of the CQ multistart run in
-lockstep, one coroutine each, with one stacked evaluation for all of them.
+candidate at a time: a descent round accepts the first improving candidate of
+its stack and re-stacks the remaining moves from there.  Every search is a
+coroutine that yields its requests, run by :func:`impactpower.linalg._lockstep`:
+the golden sections of a time polish, one per bracket, and the starts of the
+CQ multistart, one per start, each get one stacked evaluation a round.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ _ANGLE_STEP_MIN = 1e-8
 #: a descent move is accepted only if it lowers the objective by more than this
 _ACCEPT_MARGIN = 1e-18
 #: most matrices in one stacked evaluation; bounds the temporaries, not the result
-_CHUNK = 64
+_CHUNK = 128
 #: phase rates -i E of the unit-gap qubit Hamiltonian, energies 0 and 1
 _UNIT_GAP_RATES = -1j * np.array([0.0, 1.0])
 #: row i is the Pauli matrix sigma_i flattened, so axes @ rows gives r.sigma
@@ -138,23 +138,6 @@ def _improvement_steps(
     return point, value, improved
 
 
-def _first_improvement(
-    objective: Callable[[np.ndarray], np.ndarray],
-    candidates: Callable[[np.ndarray, int], np.ndarray],
-    point: np.ndarray,
-    value: float,
-    count: int,
-) -> tuple[np.ndarray, float, bool]:
-    """:func:`_improvement_steps` with each stack mapped to its values by ``objective``."""
-    steps = _improvement_steps(candidates, point, value, count)
-    try:
-        stack = next(steps)
-        while True:
-            stack = steps.send(objective(stack))
-    except StopIteration as done:
-        return done.value
-
-
 def _sphere_moves(axis: np.ndarray, step: float) -> Callable[[np.ndarray, int], np.ndarray]:
     """Rotations by ``step`` towards +-t1, +-t2, the tangent basis at ``axis``.
 
@@ -170,6 +153,19 @@ def _sphere_moves(axis: np.ndarray, step: float) -> Callable[[np.ndarray, int], 
         return cand / np.sqrt(np.vecdot(cand, cand))[:, None]
 
     return candidates
+
+
+def _sphere_descent(axis: np.ndarray, value: float) -> Generator[np.ndarray, np.ndarray, tuple]:
+    """The step-halving descent on the sphere from ``axis`` as a coroutine.
+
+    Yields stacks of axes and receives their values; returns (axis, value).
+    """
+    step = _ANGLE_STEP0
+    while step > _ANGLE_STEP_MIN:
+        axis, value, improved = yield from _improvement_steps(_sphere_moves(axis, step), axis, value, 4)
+        if not improved:
+            step *= 0.5
+    return axis, value
 
 
 def _axis_search(
@@ -193,39 +189,9 @@ def _axis_search(
     axes = fibonacci_sphere_axes(samples, seed=seed, jitter=0.5)
     values = _chunked(signed, axes)
     best = int(np.argmin(values))
-    axis, value = axes[best], float(values[best])
-    step = _ANGLE_STEP0
-    while step > _ANGLE_STEP_MIN:
-        axis, value, improved = _first_improvement(signed, _sphere_moves(axis, step), axis, value, 4)
-        if not improved:
-            step *= 0.5
+    descent = _sphere_descent(axes[best], float(values[best]))
+    [(axis, value)] = linalg._lockstep([descent], lambda _, stacks: [signed(stacks[0])])
     return AxisSearch(value=sign * value, axis=axis)
-
-
-def _golden_max(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Golden-section maximization on every bracket [lo_i, hi_i] in lockstep.
-
-    Each bracket runs its own scalar search; one round evaluates
-    ``f(x, active)`` once, with ``x[j]`` the next abscissa of bracket
-    ``active[j]``, over the brackets whose search has not finished.  Returns
-    the best value and abscissa per bracket.
-    """
-    searches = [linalg.golden_steps(a, b, tol) for a, b in zip(lo.tolist(), hi.tolist())]
-    best, at = np.empty(len(searches)), np.empty(len(searches))
-    pending = [(i, search, next(search)) for i, search in enumerate(searches)]
-    while pending:
-        active = np.array([i for i, _, _ in pending])
-        fx = f(np.array([x for _, _, x in pending]), active).tolist()
-        running = []
-        for (i, search, _), fi in zip(pending, fx):
-            try:
-                running.append((i, search, search.send(fi)))
-            except StopIteration as done:
-                best[i], at[i] = done.value
-        pending = running
-    return best, at
 
 
 def _pauli_combination(vectors: np.ndarray) -> np.ndarray:
@@ -292,11 +258,13 @@ def _grid_golden_max(
     lo = np.maximum(best_t - step, step * 1e-9)
     hi = np.minimum(best_t + step, span)
 
-    def polish(x: np.ndarray, active: np.ndarray) -> np.ndarray:
+    def polish(active: list[int], x: list[float]) -> list[float]:
         # while every bracket is live, the whole stack is the active one
-        return _direct_impacts(mat, embedded if len(active) == n else embedded[active], rates, x)
+        stack = embedded if len(active) == n else embedded[active]
+        return _direct_impacts(mat, stack, rates, np.array(x)).tolist()
 
-    val, t = _golden_max(polish, lo, hi, _TIME_TOL)
+    searches = [linalg._golden_steps(a, b, _TIME_TOL) for a, b in zip(lo.tolist(), hi.tolist())]
+    val, t = np.array(linalg._lockstep(searches, polish)).T
     polished = val >= best_val
     return np.where(polished, val, best_val), np.where(polished, t, best_t)
 
@@ -477,39 +445,32 @@ def _cq_descent(row: np.ndarray, value: float) -> Generator[np.ndarray, np.ndarr
     return value
 
 
-def _cq_lockstep(rho: DensityMatrix, descents: list[Generator]) -> list[float]:
-    """The final distance of each :func:`_cq_descent`, all run in lockstep.
+def _cq_answers(rho: DensityMatrix, requests: list[np.ndarray]) -> list:
+    """One lockstep tick of :func:`discord_cq_search`: the reply to each
+    :func:`_cq_descent` request.
 
-    One tick answers every unfinished start at once: the axes asking for the
-    conditional step get their rows from one :func:`_conditional_rests` call,
-    and those rows join the move stacks of the other starts in one distance
-    evaluation.  Every row is computed on its own, so each start takes the
-    steps it would take alone.
+    The axes asking for the conditional step get their rows from one
+    :func:`_conditional_rests` call, and those rows join the move stacks of
+    the other starts in one distance evaluation.  Every row is computed on
+    its own, so each start takes the steps it would take alone.
     """
-    finals = [math.inf] * len(descents)
-    pending = [(i, descent, next(descent)) for i, descent in enumerate(descents)]
-    while pending:
-        stacks = [request for _, _, request in pending if request.ndim == 2]
-        asked = [request for _, _, request in pending if request.ndim == 1]
-        if asked:
-            axes = np.array(asked)
-            stacks.append(np.concatenate([axes, _conditional_rests(rho, axes)], axis=1))
-        values = _chunked(partial(_cq_row_distances, rho.mat), np.concatenate(stacks))
-        # the conditional rows come last: one (row, distance) answer per asking start
-        answers = zip(stacks[-1], values[len(values) - len(asked) :].tolist())
-        running = []
-        at = 0
-        for i, descent, request in pending:
-            if request.ndim == 2:
-                reply, at = values[at : at + len(request)], at + len(request)
-            else:
-                reply = next(answers)
-            try:
-                running.append((i, descent, descent.send(reply)))
-            except StopIteration as done:
-                finals[i] = done.value
-        pending = running
-    return finals
+    stacks = [request for request in requests if request.ndim == 2]
+    asked = [request for request in requests if request.ndim == 1]
+    if asked:
+        axes = np.array(asked)
+        stacks.append(np.concatenate([axes, _conditional_rests(rho, axes)], axis=1))
+    values = _chunked(partial(_cq_row_distances, rho.mat), np.concatenate(stacks))
+    # the conditional rows come last: one (row, distance) answer per asking start
+    answers = zip(stacks[-1], values[len(values) - len(asked) :].tolist())
+    replies = []
+    at = 0
+    for request in requests:
+        if request.ndim == 2:
+            replies.append(values[at : at + len(request)])
+            at += len(request)
+        else:
+            replies.append(next(answers))
+    return replies
 
 
 def discord_cq_search(
@@ -533,7 +494,8 @@ def discord_cq_search(
     axes = np.array([*fibonacci_sphere_axes(lattice_starts), *(a / np.linalg.norm(a) for a in random_axes)])
     rows = np.concatenate([axes, _conditional_rests(rho, axes)], axis=1)
     values = _chunked(partial(_cq_row_distances, rho.mat), rows).tolist()
-    return max(min(_cq_lockstep(rho, [_cq_descent(row, value) for row, value in zip(rows, values)])), 0.0)
+    descents = [_cq_descent(row, value) for row, value in zip(rows, values)]
+    return max(min(linalg._lockstep(descents, lambda _, requests: _cq_answers(rho, requests))), 0.0)
 
 
 def _trace_impacts(rho: DensityMatrix, axes: np.ndarray) -> np.ndarray:

@@ -513,6 +513,39 @@ def _reference_golden_max(f, lo, hi, tol):
     return (f1, x1) if f1 >= f2 else (f2, x2)
 
 
+def test_lockstep_golden_sections_match_each_bracket_alone():
+    # brackets of different widths finish in different rounds; the last sits
+    # past t ~ 8192, where the float spacing of t exceeds the tolerance
+    lo = np.array([0.0, 1.0, 2.5, -3.0, 40.0, 9000.0])
+    hi = lo + np.array([1e-6, 0.5, 2.0, 7.0, 300.0, 1.0])
+    peaks = lo + np.array([0.3, 0.7, 0.1, 0.45, 0.9, 0.6]) * (hi - lo)
+    tol = dynamics.TIME_REFINE_TOL
+    rounds = []
+
+    def stacked(indices, ts):
+        return (np.cos(np.array(ts) - peaks[indices]) - 1.0).tolist()
+
+    def answer(indices, ts):
+        rounds.append(indices)
+        return stacked(indices, ts)
+
+    searches = [linalg._golden_steps(a, b, tol) for a, b in zip(lo.tolist(), hi.tolist())]
+    results = linalg._lockstep(searches, answer)
+    evaluations = []
+    for i in range(len(lo)):
+        alone = []
+
+        def f(t, i=i, alone=alone):
+            alone.append(t)
+            return stacked([i], [t])[0]
+
+        assert results[i] == _reference_golden_max(f, float(lo[i]), float(hi[i]), tol)
+        evaluations.append(len(alone))
+    assert len(set(evaluations)) == len(lo)
+    # each round asks the unfinished searches, in ascending order
+    assert rounds == [[i for i, n in enumerate(evaluations) if n > r] for r in range(len(rounds))]
+
+
 def _reference_numeric_power(rho, ham):
     # the per-pair profile loop of the three-or-more-level search
     energies, projectors = ham.distinct_levels()

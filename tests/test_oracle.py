@@ -404,7 +404,7 @@ def test_lockstep_cq_search_matches_sequential_starts(samples):
         assert oracle.discord_cq_search(rho, samples=samples, seed=[samples, i]) == expected
 
 
-@pytest.mark.parametrize("chunk", [1, 5, 64])
+@pytest.mark.parametrize("chunk", [1, 5, 64, 128])
 def test_stacked_kernels_match_per_axis(monkeypatch, chunk):
     monkeypatch.setattr(oracle, "_CHUNK", chunk)
     rho = states.random_state((2, 3), seed=11)
@@ -438,7 +438,7 @@ def test_searches_do_not_depend_on_chunking(monkeypatch):
     two_qubit = states.random_state((2, 2), seed=14)
     ham = dynamics.LocalHamiltonian.from_matrix(np.diag([0.0, 1.0, 2.7]))
     runs = []
-    for chunk in (1, 7, 64):
+    for chunk in (1, 7, 64, 128):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         p_min = oracle.p_min_search(rho, samples=50, seed=3)
         p_max = oracle.p_max_search(rho, samples=20, seed=3, grid_points=12)
@@ -454,4 +454,4 @@ def test_searches_do_not_depend_on_chunking(monkeypatch):
                 oracle.discord_cq_search(two_qubit, samples=8, seed=3),
             )
         )
-    assert runs[0] == runs[1] == runs[2]
+    assert runs[0] == runs[1] == runs[2] == runs[3]
