@@ -296,14 +296,14 @@ def general_dim_bound_check(
 ) -> GeneralBoundCheck:
     """Impact power against its discord lower bound 4 D / (d_A (d_A - 1)).
 
-    Requires a fully nondegenerate H_A.  For d_A > 2 the discord is the
-    numeric measurement minimum, itself an upper bound on the distance, so
-    the comparison is conservative.
+    Requires a fully nondegenerate H_A with at least two levels.  For d_A > 2
+    the discord is the numeric measurement minimum, itself an upper bound on
+    the distance, so the comparison is conservative.
     """
-    if not h.fully_nondegenerate:
+    if h.trivial or not h.fully_nondegenerate:
         raise DegenerateHamiltonian(
             "general-dimension bound requires a fully nondegenerate Hamiltonian "
-            f"({h.distinct_levels()[0].size} distinct levels on d_A = {h.d_a})"
+            f"with at least two levels ({h.energies.size} distinct levels on d_A = {h.d_a})"
         )
     p = dynamics.impact_power(rho, h)
     d, _ = geometric_discord(rho, starts=starts, seed=seed)

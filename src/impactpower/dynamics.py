@@ -5,18 +5,18 @@ Hilbert-Schmidt distance between the evolved and the initial global state,
 
     I(rho, H_A, t) = (1/2) ||exp(-i H_A t) rho exp(i H_A t) - rho||^2,
 
-and the impact power P(rho, H_A) = max_t I.  H_A is stored as its energies
-and one ``(L, d_A, d_A)`` stack of eigenprojectors, and every sum over levels
-or level pairs is one array reduction over that stack.  ``impact`` and
-``trace_impact`` take a scalar time or an array of times; an array gives one
-value per time, each equal to the bit to the scalar call.  Expanding in the
-eigenprojectors gives I(t) = a - sum_{l>k} b_lk cos(dE_lk t) with
-time-independent coefficients; for a spectrum with at most two distinct levels
-the maximum is exactly 2a at t = pi/dE, otherwise it is found numerically on a
-dense time grid and reported as a certified lower bound.  The grid search
-probes one point per cell of the grid and evaluates in full only the cells
-that a per-pair reach bound cannot rule out; it returns the full grid's argmax
-and values to the bit.
+and the impact power P(rho, H_A) = max_t I.  H_A is stored as its distinct
+energies, ascending, and one ``(L, d_A, d_A)`` stack of eigenprojectors, and
+every sum over levels or level pairs is one array reduction over that stack.
+``impact`` and ``trace_impact`` take a scalar time or an array of times; an
+array gives one value per time, each equal to the bit to the scalar call.
+Expanding in the eigenprojectors gives I(t) = a - sum_{l>k} b_lk cos(dE_lk t)
+with time-independent coefficients; for a spectrum with at most two distinct
+levels the maximum is exactly 2a at t = pi/dE, otherwise it is found
+numerically on a dense time grid and reported as a certified lower bound.  The
+grid search probes one point per cell of the grid and evaluates in full only
+the cells that a per-pair reach bound cannot rule out; it returns the full
+grid's argmax and values to the bit.
 """
 
 from __future__ import annotations
@@ -84,11 +84,12 @@ def _level_sum(weights: np.ndarray, projectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class LocalHamiltonian:
-    """Hermitian operator on A stored as energies plus orthogonal projectors.
+    """Hermitian operator on A stored as its distinct levels.
 
-    ``projectors`` is stored as one ``(L, d_A, d_A)`` complex array, row l
-    projecting onto the eigenspace of ``energies[l]``.  Both are read-only
-    copies of the arrays passed in.
+    The levels passed in are checked, then merged within gap_tol: ``energies``
+    holds the distinct levels in ascending order and ``projectors`` one
+    ``(L, d_A, d_A)`` complex array, row l the summed projector onto the
+    eigenspace of ``energies[l]``.  Both are read-only.
     """
 
     energies: np.ndarray
@@ -134,8 +135,8 @@ class LocalHamiltonian:
             raise InvalidHamiltonian(
                 f"projectors do not resolve the identity within {PROJECTOR_TOL:.1e}"
             )
-        # private read-only copies: the levels merged from them are cached
-        for name, array in (("energies", energies), ("projectors", projectors)):
+        merged = _merge_levels(energies, projectors, _gap_tol(energies))
+        for name, array in zip(("energies", "projectors"), merged):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
@@ -150,22 +151,6 @@ class LocalHamiltonian:
                 f"Hamiltonian acts on dimension {self.d_a}, state has d_A = {rho.d_a}"
             )
 
-    # cached_property stores into the instance __dict__, which a frozen
-    # dataclass leaves writable
-    @functools.cached_property
-    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
-        levels = _merge_levels(self.energies, self.projectors, _gap_tol(self.energies))
-        for array in levels:
-            array.flags.writeable = False
-        return levels
-
-    def distinct_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        """Energies merged within gap_tol, with summed projectors, ascending.
-
-        Merged once per Hamiltonian, on first use; both arrays are read-only.
-        """
-        return self._levels
-
     @property
     def period(self) -> float:
         """2 pi / min dE over the distinct levels: one period of the slowest pair.
@@ -173,10 +158,9 @@ class LocalHamiltonian:
         Raises OutOfRange for a single level, and for a gap so small or so
         large that 2 pi / dE is not a finite positive number.
         """
-        levels = self.distinct_levels()[0]
-        if levels.size < 2:
+        if self.energies.size < 2:
             raise OutOfRange("a single distinct level has no period")
-        gap = float(np.min(np.diff(levels)))
+        gap = float(np.min(np.diff(self.energies)))
         period = 2.0 * math.pi / gap
         if not 0.0 < period < math.inf:
             raise OutOfRange(f"smallest level gap {gap!r} gives no finite period 2 pi / gap")
@@ -185,12 +169,12 @@ class LocalHamiltonian:
     @property
     def trivial(self) -> bool:
         """True if H is proportional to the identity (single distinct level)."""
-        return self.distinct_levels()[0].size == 1
+        return self.energies.size == 1
 
     @property
     def fully_nondegenerate(self) -> bool:
         """True if there are d_A distinct levels, i.e. every projector is rank one."""
-        return self.distinct_levels()[0].size == self.d_a
+        return self.energies.size == self.d_a
 
     def matrix(self) -> np.ndarray:
         """H as a dense d_A x d_A matrix."""
@@ -202,8 +186,7 @@ class LocalHamiltonian:
         h = np.asarray(h, dtype=complex)
         eig = linalg.hermitian_eigendecompose(h)
         vecs = eig.eigenvectors.T
-        rank_one = vecs[:, :, None] * vecs.conj()[:, None, :]
-        return cls(*_merge_levels(eig.eigenvalues, rank_one, _gap_tol(eig.eigenvalues)))
+        return cls(eig.eigenvalues, vecs[:, :, None] * vecs.conj()[:, None, :])
 
     @classmethod
     def from_bloch_axis(cls, axis, gap: float) -> "LocalHamiltonian":
@@ -238,7 +221,7 @@ class LocalHamiltonian:
 class ImpactCoefficients:
     """Time-independent impact data: a and the pair coefficients b_lk (l > k).
 
-    ``b`` is a k x k matrix over the stored levels, populated on the strict
+    ``b`` is an L x L matrix over the distinct levels, populated on the strict
     lower triangle; a = sum_{l>k} b_lk holds identically.
     """
 
@@ -294,10 +277,16 @@ def trace_impact(rho: DensityMatrix, h: LocalHamiltonian, t) -> float | np.ndarr
     return 0.5 * n * n
 
 
-def _coefficients(rho: DensityMatrix, projectors: np.ndarray) -> ImpactCoefficients:
+def impact_coefficients(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactCoefficients:
+    """The constants in I(t) = a - sum_{l>k} b_lk cos(dE_lk t).
+
+    a = Tr[rho^2] - Tr[rho sum_i Pi_i rho Pi_i] and
+    b_lk = 2 Tr[rho Pi_l rho Pi_k], over the Hamiltonian's distinct levels.
+    """
+    h.check_acts_on(rho)
     # Y_l = rho (Pi_l (x) 1_B), so Tr[rho Pi_l rho Pi_k] = Tr[Y_l Y_k] sums the
     # entries of Y_l * Y_k^T in row-major order, for every pair l >= k at once
-    y = rho.mat @ linalg.tensor(projectors, np.eye(rho.d_b, dtype=complex))
+    y = rho.mat @ linalg.tensor(h.projectors, np.eye(rho.d_b, dtype=complex))
     n = len(y)
     rows, cols = _lower_pairs(n, 0)
     prod = y[rows] * y[cols].swapaxes(-1, -2)
@@ -308,16 +297,6 @@ def _coefficients(rho: DensityMatrix, projectors: np.ndarray) -> ImpactCoefficie
     b = 2.0 * overlaps
     np.fill_diagonal(b, 0.0)  # the strict lower triangle, zeros elsewhere
     return ImpactCoefficients(a=rho.purity - dephased_overlap, b=b)
-
-
-def impact_coefficients(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactCoefficients:
-    """The constants in I(t) = a - sum_{l>k} b_lk cos(dE_lk t).
-
-    a = Tr[rho^2] - Tr[rho sum_i Pi_i rho Pi_i] and
-    b_lk = 2 Tr[rho Pi_l rho Pi_k], over the Hamiltonian's stored projectors.
-    """
-    h.check_acts_on(rho)
-    return _coefficients(rho, h.projectors)
 
 
 def _grid_argmax(
@@ -348,10 +327,10 @@ def _grid_argmax(
 def impact_power_result(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactPowerResult:
     """Impact power with attainment metadata; see :class:`ImpactPowerResult`."""
     h.check_acts_on(rho)
-    energies, projectors = h.distinct_levels()
+    energies = h.energies
     if energies.size == 1:
         return ImpactPowerResult(value=0.0, t_max=0.0, exact=True, upper_bound=0.0)
-    coeff = _coefficients(rho, projectors)
+    coeff = impact_coefficients(rho, h)
     if energies.size == 2:
         value = max(2.0 * coeff.a, 0.0)
         return ImpactPowerResult(

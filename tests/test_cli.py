@@ -170,6 +170,21 @@ def test_compute_merges_the_levels_once(capsys, monkeypatch, tmp_path):
     assert len(calls) == 1
 
 
+def test_compute_prints_the_distinct_levels(capsys, tmp_path, werner_file):
+    # gap 0 gives the levels -0.0 and 0.0: one distinct level, so one energy
+    ham = tmp_path / "h.json"
+    ham.write_text(json.dumps({"dA": 2, "bloch_axis": [0, 0, 1], "gap": 0.0}))
+    code, out, _ = run(capsys, ["compute", werner_file, "--hamiltonian", str(ham)])
+    assert code == 0
+    printed = json.loads(out)["hamiltonian"]
+    assert len(printed["energies"]) == 1 and printed["trivial"] is True
+    # unsorted levels print ascending
+    _write_hamiltonian(ham, [1.0, 0.0], [np.diag([0.0, 1.0]), np.diag([1.0, 0.0])])
+    code, out, _ = run(capsys, ["compute", werner_file, "--hamiltonian", str(ham)])
+    assert code == 0
+    assert json.loads(out)["hamiltonian"]["energies"] == [0.0, 1.0]
+
+
 _UNREADABLE = {
     "non-UTF-8": b'{"dims": [2, 2], "name": "\xff"}',
     "nested 100,000 deep": b"[" * 100_000 + b"]" * 100_000,

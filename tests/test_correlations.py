@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from impactpower import correlations, dynamics, linalg, states
 from impactpower.errors import DegenerateHamiltonian, DimensionMismatch
 
-from conftest import random_hermitian
+from conftest import random_density, random_hermitian
 
 
 def bell_state():
@@ -478,6 +478,51 @@ def test_general_bound_rejects_degenerate():
     ham = dynamics.LocalHamiltonian.from_matrix(np.diag([0.0, 1.0, 1.0]))
     with pytest.raises(DegenerateHamiltonian):
         correlations.general_dim_bound_check(rho, ham)
+
+
+def test_general_bound_rejects_a_single_level_on_one_dimension():
+    # one level on d_A = 1 counts as fully nondegenerate, but the bound
+    # 4 D / (d_A (d_A - 1)) needs two distinct levels
+    rho = states.random_state((1, 2), seed=0)
+    ham = dynamics.LocalHamiltonian(np.array([0.5]), np.eye(1)[None])
+    assert ham.trivial and ham.fully_nondegenerate
+    with pytest.raises(DegenerateHamiltonian, match="at least two levels"):
+        correlations.general_dim_bound_check(rho, ham)
+
+
+#: largest deviation over 120 cases (4 seeds of 30) was 6.6e-16, for the
+#: measurement discord; the rest stayed at or below 4.4e-16
+ANCILLA_TOL = 4e-15
+
+
+def test_an_ancilla_on_b_scales_by_its_purity():
+    # rho -> rho (x) sigma_C with C appended to B scales p_min, p_max, the
+    # discord, the impact profile and the impact power by Tr sigma_C^2
+    rng = np.random.default_rng(77)
+
+    def attach(rho, sigma):
+        return states.DensityMatrix(np.kron(rho.mat, sigma), (rho.d_a, rho.d_b * len(sigma)))
+
+    for _ in range(30):
+        sigma = random_density(rng, 2)
+        scale = float(np.trace(sigma @ sigma).real)
+        qubit, qutrit = states.random_state((2, 2), seed=rng), states.random_state((3, 2), seed=rng)
+        got = correlations.p_extrema(attach(qubit, sigma))
+        want = correlations.p_extrema(qubit)
+        assert np.max(np.abs(np.subtract(got, scale * np.array(want)))) <= ANCILLA_TOL
+        seed = int(rng.integers(2**31))
+        got = correlations.measurement_min_discord(attach(qutrit, sigma), seed=seed)
+        want = correlations.measurement_min_discord(qutrit, seed=seed)
+        assert abs(got - scale * want) <= ANCILLA_TOL
+        gap = float(rng.uniform(0.5, 3.0))
+        two_level = dynamics.LocalHamiltonian.from_bloch_axis(rng.standard_normal(3), gap)
+        three_level = dynamics.LocalHamiltonian.from_matrix(random_hermitian(rng, 3))
+        for rho, ham in ((qubit, two_level), (qutrit, three_level)):
+            ts = np.linspace(0.0, ham.period, 33)
+            got = dynamics.impact(attach(rho, sigma), ham, ts)
+            assert np.max(np.abs(got - scale * dynamics.impact(rho, ham, ts))) <= ANCILLA_TOL
+            got = dynamics.impact_power(attach(rho, sigma), ham)
+            assert abs(got - scale * dynamics.impact_power(rho, ham)) <= ANCILLA_TOL
 
 
 def test_order_relation_random_pairs(rng):

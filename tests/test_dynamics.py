@@ -58,9 +58,8 @@ def test_from_matrix_reconstructs(rng):
 
 def test_from_matrix_merges_degenerate_levels():
     ham = dynamics.LocalHamiltonian.from_matrix(np.diag([0.0, 1.0, 1.0]))
-    levels, projectors = ham.distinct_levels()
-    assert levels.tolist() == [0.0, 1.0]
-    assert abs(np.trace(projectors[1]).real - 2.0) <= 1e-12
+    assert ham.energies.tolist() == [0.0, 1.0]
+    assert abs(np.trace(ham.projectors[1]).real - 2.0) <= 1e-12
     assert not ham.fully_nondegenerate
     assert not ham.trivial
 
@@ -80,24 +79,71 @@ def test_period_is_two_pi_over_the_smallest_distinct_gap():
         dynamics.LocalHamiltonian.from_matrix(2.0 * np.eye(2)).period
 
 
-def test_distinct_levels_are_merged_once_and_read_only(monkeypatch):
-    calls = []
-    merge = dynamics._merge_levels
-    monkeypatch.setattr(dynamics, "_merge_levels", lambda *a: calls.append(1) or merge(*a))
-    ham = dynamics.LocalHamiltonian(np.array([1.0, 0.0, 1.0]), np.eye(3)[:, None] * np.eye(3)[:, :, None])
-    levels, projectors = ham.distinct_levels()
-    assert ham.distinct_levels()[0] is levels
-    assert ham.trivial is False and ham.fully_nondegenerate is False and ham.period == 2.0 * math.pi
-    assert len(calls) == 1
-    for array in (levels, projectors):
+def _diag_projectors(d):
+    return np.eye(d)[:, None] * np.eye(d)[:, :, None] + 0j
+
+
+#: (given energies, given projectors, the same H built from its distinct
+#: levels in ascending order)
+_UNSORTED_OR_NEAR_EQUAL = {
+    "unsorted": (
+        [1.0, 0.0],
+        _diag_projectors(2)[::-1],
+        ([0.0, 1.0], _diag_projectors(2)),
+    ),
+    "near-equal": (
+        [0.0, 1.0, 1.0 + 1e-12],
+        _diag_projectors(3),
+        ([0.0, 1.0], (_diag_projectors(3)[0], _diag_projectors(3)[1] + _diag_projectors(3)[2])),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNSORTED_OR_NEAR_EQUAL))
+def test_hamiltonian_stores_its_distinct_levels_ascending(case):
+    energies, projectors, (levels, merged) = _UNSORTED_OR_NEAR_EQUAL[case]
+    ham = dynamics.LocalHamiltonian(np.array(energies), projectors)
+    ref = dynamics.LocalHamiltonian(np.array(levels), merged)
+    assert ham.energies.tolist() == levels
+    assert _same_bits(ham.energies, ref.energies) and _same_bits(ham.projectors, ref.projectors)
+    assert ham.trivial is False and ham.period == 2.0 * math.pi
+    assert ham.fully_nondegenerate == (ham.d_a == 2)
+    for array in (ham.energies, ham.projectors):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+    # every result follows the distinct levels, to the bit
+    rho = states.random_state((ham.d_a, 2), seed=0)
+    ts = np.linspace(0.0, 7.0, 9)
+    assert dynamics.impact_power_result(rho, ham) == dynamics.impact_power_result(rho, ref)
+    for fn in (dynamics.impact, dynamics.trace_impact):
+        assert _same_bits(fn(rho, ham, ts), fn(rho, ref, ts))
+    assert _same_bits(dynamics.evolve(rho, ham, 1.3).mat, dynamics.evolve(rho, ref, 1.3).mat)
+    assert _same_bits(dynamics.impact_coefficients(rho, ham).b, dynamics.impact_coefficients(rho, ref).b)
+
+
+def test_gap_zero_bloch_shorthand_is_one_level():
+    ham = dynamics.LocalHamiltonian.from_bloch_axis([0.0, 0.0, 1.0], 0.0)
+    assert ham.energies.tolist() == [0.0] and ham.trivial and not ham.fully_nondegenerate
+    assert np.array_equal(ham.projectors, np.eye(2)[None])
+    assert not ham.energies.flags.writeable and not ham.projectors.flags.writeable
+    rho = states.random_state((2, 2), seed=0)
+    assert dynamics.impact_power_result(rho, ham) == dynamics.ImpactPowerResult(0.0, 0.0, True, 0.0)
+
+
+def test_from_matrix_merges_its_levels_once(monkeypatch):
+    calls = []
+    merge = dynamics._merge_levels
+    monkeypatch.setattr(dynamics, "_merge_levels", lambda *a: calls.append(1) or merge(*a))
+    ham = dynamics.LocalHamiltonian.from_matrix(np.diag([0.0, 1.0, 2.5]))
+    dynamics.impact_power_result(states.random_state((3, 2), seed=0), ham)
+    assert ham.trivial is False and ham.fully_nondegenerate and ham.period == 2.0 * math.pi
+    assert len(calls) == 1
 
 
 def test_hamiltonian_keeps_read_only_copies_of_its_arrays():
     # the caller's arrays stay the caller's: changing them later must not
-    # change the Hamiltonian behind its cached levels
+    # change the Hamiltonian
     energies = np.array([0.0, 1.0, 2.0])
     projectors = np.eye(3)[:, None] * np.eye(3)[:, :, None] + 0j
     ham = dynamics.LocalHamiltonian(energies, projectors)
@@ -118,7 +164,7 @@ def test_impact_power_rejects_a_gap_with_no_finite_period(case):
     # three fail on an empty grid
     levels = _SUBNORMAL_LEVELS[case]
     ham = dynamics.LocalHamiltonian.from_matrix(np.diag(levels))
-    assert ham.distinct_levels()[0].size == len(levels)
+    assert ham.energies.size == len(levels)
     rho = states.random_state((len(levels), 2), seed=0)
     with pytest.raises(ImpactPowerError, match="gap 1e-320"):
         dynamics.impact_power_result(rho, ham)
@@ -477,18 +523,34 @@ def test_projector_stack_matches_per_projector_loops(rng):
         assert ham.projectors.dtype == complex
         ref_matrix = sum(e * p for e, p in zip(ham.energies, ham.projectors))
         assert _same_bits(ham.matrix(), ref_matrix)
-        levels, projectors = ham.distinct_levels()
-        gap_tol = dynamics._gap_tol(ham.energies)
-        ref_levels, ref_projectors = _reference_levels(ham.energies, ham.projectors, gap_tol)
-        assert _same_bits(levels, ref_levels)
-        assert _same_bits(projectors, ref_projectors)
         for d_b in (2, 3):
             rho = states.random_state((ham.d_a, d_b), rank=1 + d_b, seed=rng)
-            for stack in (ham.projectors, projectors):
-                coeff = dynamics._coefficients(rho, stack)
-                ref_a, ref_b = _reference_coefficients(rho, stack)
-                assert coeff.a == ref_a
-                assert _same_bits(coeff.b, ref_b)
+            coeff = dynamics.impact_coefficients(rho, ham)
+            ref_a, ref_b = _reference_coefficients(rho, ham.projectors)
+            assert coeff.a == ref_a
+            assert _same_bits(coeff.b, ref_b)
+
+
+def test_constructor_merges_like_the_reference_loop(rng):
+    # rank-one eigenprojectors as given, ascending and reversed, over spectra
+    # with distinct, equal and near-equal (within gap_tol) eigenvalues
+    matrices = [random_hermitian(rng, d) for d in (2, 3, 4)] + [
+        np.diag([0.0, 1.0, 1.0]),
+        np.diag([-0.5, 2.0, 2.0 + 1e-12]),
+        np.diag([-3.0, -2.0, -1.0]),
+        np.eye(3),
+    ]
+    for h in matrices:
+        eig = linalg.hermitian_eigendecompose(np.asarray(h, dtype=complex))
+        vecs = eig.eigenvectors.T
+        rank_one = vecs[:, :, None] * vecs.conj()[:, None, :]
+        for energies, projectors in ((eig.eigenvalues, rank_one), (eig.eigenvalues[::-1], rank_one[::-1])):
+            ham = dynamics.LocalHamiltonian(energies, projectors)
+            ref_levels, ref_projectors = _reference_levels(
+                energies, projectors, dynamics._gap_tol(energies)
+            )
+            assert _same_bits(ham.energies, ref_levels)
+            assert _same_bits(ham.projectors, ref_projectors)
 
 
 def _reference_golden_max(f, lo, hi, tol):
@@ -548,8 +610,8 @@ def test_lockstep_golden_sections_match_each_bracket_alone():
 
 def _reference_numeric_power(rho, ham):
     # the per-pair profile loop of the three-or-more-level search
-    energies, projectors = ham.distinct_levels()
-    _, b = _reference_coefficients(rho, projectors)
+    energies = ham.energies
+    _, b = _reference_coefficients(rho, ham.projectors)
     pairs = [(l, k) for l in range(1, energies.size) for k in range(l)]
     gaps = np.array([energies[l] - energies[k] for l, k in pairs])
     weights = np.array([b[l, k] for l, k in pairs])
