@@ -173,13 +173,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     timings: list[dict] = []
     try:
-        summary = verify.run_suite(
-            args.suite,
-            seed=args.seed,
-            budget=args.budget,
-            inject_state=args.inject_state,
-            timings=timings,
-        )
+        summary = verify.run_suite(args.suite, seed=args.seed, budget=args.budget, timings=timings)
     except ImpactPowerError as exc:
         return _fail(str(exc))
     if args.timings:
@@ -191,14 +185,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _print_json(summary)
     if summary["all_passed"]:
         return 0
-    failed = [c for c in summary["checks"] if not c["passed"]]
-    for check in failed:
-        where = (
-            f" (worst item {check['worst_index']}, replay seed {check['replay_seed']})"
-            if "worst_index" in check
-            else f": {check.get('detail', '')}"
-        )
-        sys.stderr.write(f"FAILED {check['name']}{where}\n")
+    for check in summary["checks"]:
+        if not check["passed"]:
+            where = f"worst item {check['worst_index']}, replay seed {check['replay_seed']}"
+            sys.stderr.write(f"FAILED {check['name']} ({where})\n")
     return 1
 
 
@@ -269,12 +259,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify_seed = ver.add_argument("--seed", type=_seed)
     ver.add_argument("--budget", default="quick", choices=["quick", "full"])
-    ver.add_argument("--threads", type=int, default=1, help="ignored: work runs serially")
     ver.add_argument(
         "--timings",
         help="write each check's name, item count and elapsed_s to this JSON file",
     )
-    ver.add_argument("--inject-state", help=argparse.SUPPRESS)
 
     parser.seed_actions = [compute_seed, scan_seed, verify_seed]
     return parser

@@ -232,8 +232,8 @@ def measurement_min_discord(
     rng = np.random.default_rng(seed)
     d_a = rho.d_a
     rho4 = rho.mat.reshape(d_a, rho.d_b, d_a, rho.d_b)
-    draws = [linalg.haar_unitary(d_a, rng) for _ in range(max(starts - 1, 0))]
-    u = np.stack([np.eye(d_a, dtype=complex)] + draws)
+    draws = linalg._haar_stack(d_a, max(starts - 1, 0), rng)
+    u = np.concatenate([np.eye(d_a, dtype=complex)[None], draws])
     blocks = np.einsum("sai,abcd,scj->sbdij", u.conj(), rho4, u).reshape(len(u), -1, d_a, d_a)
     return max(rho.purity - float(_joint_diagonal_weight(blocks).max()), 0.0)
 

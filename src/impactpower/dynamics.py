@@ -389,20 +389,20 @@ def hamiltonian_to_dict(h: LocalHamiltonian) -> dict:
     return {
         "dA": h.d_a,
         "energies": [float(e) for e in h.energies],
-        "projectors": [linalg.matrix_to_pairs(p) for p in h.projectors],
+        "projectors": [linalg._matrix_to_pairs(p) for p in h.projectors],
     }
 
 
 def hamiltonian_from_dict(data: dict) -> LocalHamiltonian:
     try:
-        d_a = linalg.json_int(data["dA"], "dA")
+        d_a = linalg._json_int(data["dA"], "dA")
         if "bloch_axis" in data:
             if d_a != 2:
                 raise InvalidHamiltonian("bloch_axis shorthand requires dA = 2")
-            axis = [linalg.json_float(r, "bloch_axis") for r in data["bloch_axis"]]
-            return LocalHamiltonian.from_bloch_axis(axis, linalg.json_float(data["gap"], "gap"))
-        energies = [linalg.json_float(e, "energies") for e in data["energies"]]
-        projectors = [linalg.pairs_to_matrix(p, d_a, d_a, "projectors") for p in data["projectors"]]
+            axis = [linalg._json_float(r, "bloch_axis") for r in data["bloch_axis"]]
+            return LocalHamiltonian.from_bloch_axis(axis, linalg._json_float(data["gap"], "gap"))
+        energies = [linalg._json_float(e, "energies") for e in data["energies"]]
+        projectors = [linalg._pairs_to_matrix(p, d_a, d_a, "projectors") for p in data["projectors"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidHamiltonian(f"malformed hamiltonian object: {exc}") from exc
     return LocalHamiltonian(energies, projectors)

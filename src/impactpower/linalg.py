@@ -194,21 +194,25 @@ def _lockstep(searches: list[Generator], answer: Callable[[list[int], list], lis
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random d x d unitary (QR of a Ginibre matrix, phases fixed)."""
-    z = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    ph = np.diagonal(r).copy()
-    ph /= np.abs(ph)
-    return q * ph
+    return _haar_stack(d, 1, rng)[0]
 
 
-def matrix_to_pairs(a: np.ndarray) -> list[list[float]]:
+def _haar_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-random d x d unitaries, equal to n ``haar_unitary`` calls in turn on ``rng``."""
+    x = rng.standard_normal((n, 2, d, d))
+    q, r = np.linalg.qr((x[:, 0] + 1j * x[:, 1]) / math.sqrt(2.0))
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (ph / np.abs(ph))[:, None, :]
+
+
+def _matrix_to_pairs(a: np.ndarray) -> list[list[float]]:
     """Flatten a complex matrix to row-major [re, im] pairs (JSON codec)."""
     return [[float(z.real), float(z.imag)] for z in np.asarray(a, dtype=complex).ravel()]
 
 
-def pairs_to_matrix(pairs: list[list[float]], rows: int, cols: int, field: str) -> np.ndarray:
-    """Inverse of :func:`matrix_to_pairs`; reads each entry with :func:`json_float`."""
-    flat = np.array([[json_float(x, field) for x in pair] for pair in pairs])
+def _pairs_to_matrix(pairs: list[list[float]], rows: int, cols: int, field: str) -> np.ndarray:
+    """Inverse of :func:`_matrix_to_pairs`; reads each entry with :func:`_json_float`."""
+    flat = np.array([[_json_float(x, field) for x in pair] for pair in pairs])
     if flat.ndim != 2 or flat.shape != (rows * cols, 2):
         raise DimensionMismatch(
             f"expected {rows * cols} [re, im] pairs for a {rows}x{cols} matrix, "
@@ -217,7 +221,7 @@ def pairs_to_matrix(pairs: list[list[float]], rows: int, cols: int, field: str) 
     return (flat[:, 0] + 1j * flat[:, 1]).reshape(rows, cols)
 
 
-def json_int(value, field: str) -> int:
+def _json_int(value, field: str) -> int:
     """A whole number read from the JSON ``field`` (2 or 2.0).
 
     ValueError naming the field for 2.7, inf, true, "2" and the like.
@@ -227,7 +231,7 @@ def json_int(value, field: str) -> int:
     return int(value)
 
 
-def json_float(value, field: str) -> float:
+def _json_float(value, field: str) -> float:
     """A number read from the JSON ``field``: a float, or an int that fits in one.
 
     ValueError naming the field for true, "2", 10**400 and the like; NaN and

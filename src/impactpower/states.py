@@ -367,13 +367,13 @@ def swap_parties(rho: DensityMatrix) -> DensityMatrix:
 
 
 def state_to_dict(rho: DensityMatrix) -> dict:
-    return {"dims": [rho.d_a, rho.d_b], "matrix": linalg.matrix_to_pairs(rho.mat)}
+    return {"dims": [rho.d_a, rho.d_b], "matrix": linalg._matrix_to_pairs(rho.mat)}
 
 
 def state_from_dict(data: dict) -> DensityMatrix:
     try:
-        d_a, d_b = (linalg.json_int(v, "dims") for v in data["dims"])
-        mat = linalg.pairs_to_matrix(data["matrix"], d_a * d_b, d_a * d_b, "matrix")
+        d_a, d_b = (linalg._json_int(v, "dims") for v in data["dims"])
+        mat = linalg._pairs_to_matrix(data["matrix"], d_a * d_b, d_a * d_b, "matrix")
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidDensityMatrix(f"malformed state object: {exc}") from exc
     return DensityMatrix(mat, (d_a, d_b))

@@ -14,6 +14,7 @@ gives the same summary.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from typing import Callable, NamedTuple
 
@@ -284,8 +285,12 @@ def _sizes(budget: str) -> dict:
     return SIZES[budget]
 
 
+def _count(check: Check, sizes: dict) -> int:
+    return sizes[check.items] if isinstance(check.items, str) else check.items
+
+
 def _check(check: Check, seed: int, sizes: dict) -> dict:
-    n = sizes[check.items] if isinstance(check.items, str) else check.items
+    n = _count(check, sizes)
     errors = [check.item(np.random.default_rng([seed, check.check_id, i]), i, sizes) for i in range(n)]
     worst = int(np.argmax(errors))
     worst_error = float(errors[worst])
@@ -305,30 +310,31 @@ def replay(replay_seed: list[int], budget: str = "quick") -> float:
     """The error of one item alone, from the ``replay_seed`` a summary reports.
 
     Equals the summary's ``worst_error`` at the same budget to the bit.
+    Raises ImpactPowerError unless ``replay_seed`` is three whole numbers
+    >= 0 that name a check and one of its items at ``budget``.
     """
-    check = next((c for c in CHECKS if c.check_id == replay_seed[1]), None)
-    if check is None:
-        raise ImpactPowerError(f"no check has id {replay_seed[1]!r}")
-    return float(check.item(np.random.default_rng(replay_seed), replay_seed[2], _sizes(budget)))
-
-
-def _injected_state_check(path: str) -> dict:
+    sizes = _sizes(budget)
     try:
-        states.load_state(path)
-    except ImpactPowerError as exc:
-        return {"name": "injected-state-validation", "passed": False, "detail": str(exc)}
-    except Exception as exc:  # malformed file counts as a failure too
-        return {"name": "injected-state-validation", "passed": False, "detail": f"unreadable: {exc}"}
-    return {"name": "injected-state-validation", "passed": True, "detail": "state file valid"}
+        _, check_id, index = words = [operator.index(v) for v in replay_seed]
+    except (TypeError, ValueError):
+        raise ImpactPowerError(
+            f"replay seed must be three whole numbers [seed, check id, index], got {replay_seed!r}"
+        ) from None
+    for part, value in zip(("seed", "check id", "index"), words):
+        if value < 0:
+            raise ImpactPowerError(f"replay seed part {part!r} must be >= 0, got {value}")
+    check = next((c for c in CHECKS if c.check_id == check_id), None)
+    if check is None:
+        raise ImpactPowerError(f"no check has id {check_id!r}")
+    n = _count(check, sizes)
+    if index >= n:
+        raise ImpactPowerError(
+            f"replay seed index {index} is past the {n} items of {check.name!r} at budget {budget!r}"
+        )
+    return float(check.item(np.random.default_rng(words), index, sizes))
 
 
-def run_suite(
-    suite: str,
-    seed: int = 0,
-    budget: str = "quick",
-    inject_state: str | None = None,
-    timings: list | None = None,
-) -> dict:
+def run_suite(suite: str, seed: int = 0, budget: str = "quick", timings: list | None = None) -> dict:
     """Run one named suite (or "all") and return the machine-readable summary.
 
     If ``timings`` is a list, one ``{"name", "items", "elapsed_s"}`` record
@@ -345,8 +351,6 @@ def run_suite(
             if timings is not None:
                 elapsed = time.perf_counter() - start
                 timings.append({"name": check.name, "items": checks[-1]["items"], "elapsed_s": elapsed})
-    if inject_state is not None:
-        checks.append(_injected_state_check(inject_state))
     return {
         "suite": suite,
         "seed": seed,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from impactpower import cli, correlations, dynamics, states
+from impactpower import cli, correlations, dynamics, states, verify
 from impactpower.errors import InvalidDensityMatrix, InvalidHamiltonian
 
 
@@ -291,11 +291,11 @@ def test_threads_option_is_accepted_and_starts_no_thread(capsys, monkeypatch):
 
     scan = ["scan", "random", "--samples", str(2 * cli._SCAN_CHUNK + 1), "--seed", "2"]
     check = ["verify", "--suite", "theorem3", "--budget", "quick", "--seed", "5"]
-    expected = [run(capsys, argv) for argv in (scan, check)]
+    code, out, _ = run(capsys, scan)
+    assert code == 0
     monkeypatch.setattr(threading.Thread, "start", refuse)
-    for argv, (code, out, _) in zip((scan, check), expected):
-        assert code == 0
-        assert run(capsys, argv + ["--threads", "4"]) == (0, out, "")
+    assert run(capsys, scan + ["--threads", "4"]) == (0, out, "")
+    assert run(capsys, check)[0] == 0
 
 
 def test_python_dash_m_runs_the_cli():
@@ -351,7 +351,7 @@ def test_verify_theorem3_quick_passes(capsys):
 
 
 def test_verify_summary_is_reproducible(capsys):
-    argv = ["verify", "--suite", "theorem3", "--budget", "quick", "--seed", "42", "--threads", "2"]
+    argv = ["verify", "--suite", "theorem3", "--budget", "quick", "--seed", "42"]
     code, first, _ = run(capsys, argv)
     assert code == 0
     _, second, _ = run(capsys, argv)
@@ -375,22 +375,22 @@ def test_verify_timings_go_to_a_side_file(capsys, tmp_path):
     assert "timings" in err
 
 
-def test_verify_injected_corruption_fails(capsys, tmp_path):
-    bad = tmp_path / "corrupt.json"
-    mat = np.eye(4) * 0.275
-    bad.write_text(
-        json.dumps({"dims": [2, 2], "matrix": [[float(v.real), 0.0] for v in mat.ravel()]})
-    )
-    code, out, err = run(
-        capsys,
-        ["verify", "--suite", "theorem3", "--budget", "quick", "--inject-state", str(bad)],
-    )
+def test_verify_failure_names_its_replay_seed(capsys, monkeypatch):
+    def item(rng, i, sizes):
+        return float(rng.uniform(1.0, 2.0))
+
+    row = verify.Check("theorem1", "always-above-tolerance", 99, 5, 0.5, item)
+    monkeypatch.setattr(verify, "CHECKS", (row,))
+    code, out, err = run(capsys, ["verify", "--seed", "7"])
     assert code == 1
     data = json.loads(out)
     assert data["all_passed"] is False
-    injected = [c for c in data["checks"] if c["name"] == "injected-state-validation"][0]
-    assert "trace" in injected["detail"]
-    assert "injected-state-validation" in err
+    [check] = data["checks"]
+    assert check["passed"] is False
+    i = check["worst_index"]
+    assert check["replay_seed"] == [7, 99, i]
+    assert err == f"FAILED always-above-tolerance (worst item {i}, replay seed [7, 99, {i}])\n"
+    assert verify.replay(check["replay_seed"]) == check["worst_error"]
 
 
 def test_seed_env_fallback(monkeypatch):

@@ -525,6 +525,32 @@ def test_an_ancilla_on_b_scales_by_its_purity():
             assert abs(got - scale * dynamics.impact_power(rho, ham)) <= ANCILLA_TOL
 
 
+#: largest deviation over 480 cases (4 seeds of 120) was 1.7e-16 for M and
+#: 2.8e-16 for the impact profile
+FLAGGED_TOL = 2e-15
+
+
+def test_a_flagged_mixture_splits_m_and_the_impact_profile():
+    # rho = p rho_1 (x) |0><0| + (1-p) rho_2 (x) |1><1| with the flag on B:
+    # M and the impact profile split as p^2 (rho_1 term) + (1-p)^2 (rho_2 term)
+    rng = np.random.default_rng(78)
+    flags = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    for k in range(30):
+        d_b = 2 + k % 2
+        rho_1, rho_2 = (states.random_state((2, d_b), seed=rng) for _ in range(2))
+        p = float(rng.uniform())
+        mat = p * np.kron(rho_1.mat, flags[0]) + (1.0 - p) * np.kron(rho_2.mat, flags[1])
+        rho = states.DensityMatrix(mat, (2, 2 * d_b))
+        w_1, w_2 = p * p, (1.0 - p) ** 2
+        want = w_1 * correlations.m_matrix(rho_1).m + w_2 * correlations.m_matrix(rho_2).m
+        assert np.max(np.abs(correlations.m_matrix(rho).m - want)) <= FLAGGED_TOL
+        gap = float(rng.uniform(0.5, 3.0))
+        ham = dynamics.LocalHamiltonian.from_bloch_axis(rng.standard_normal(3), gap)
+        ts = np.linspace(0.0, ham.period, 33)
+        want = w_1 * dynamics.impact(rho_1, ham, ts) + w_2 * dynamics.impact(rho_2, ham, ts)
+        assert np.max(np.abs(dynamics.impact(rho, ham, ts) - want)) <= FLAGGED_TOL
+
+
 def test_order_relation_random_pairs(rng):
     for _ in range(300):
         rho = states.random_state((2, 2), seed=rng)

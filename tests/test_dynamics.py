@@ -421,7 +421,7 @@ def test_hamiltonian_from_dict_rejects_malformed():
         dynamics.hamiltonian_from_dict({"dA": 2})
     with pytest.raises(InvalidHamiltonian, match="malformed"):
         dynamics.hamiltonian_from_dict(
-            {"dA": 2, "energies": "ab", "projectors": [linalg.matrix_to_pairs(np.eye(2))]}
+            {"dA": 2, "energies": "ab", "projectors": [linalg._matrix_to_pairs(np.eye(2))]}
         )
 
 

@@ -226,11 +226,21 @@ def test_hs_norm_equals_eigenvalue_square_sum(rng):
 
 def test_pairs_codec_roundtrip(rng):
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    pairs = linalg.matrix_to_pairs(a)
-    back = linalg.pairs_to_matrix(pairs, 3, 3, "matrix")
+    pairs = linalg._matrix_to_pairs(a)
+    back = linalg._pairs_to_matrix(pairs, 3, 3, "matrix")
     assert np.array_equal(a, back)
     with pytest.raises(DimensionMismatch):
-        linalg.pairs_to_matrix(pairs, 2, 2, "matrix")
+        linalg._pairs_to_matrix(pairs, 2, 2, "matrix")
+
+
+def test_haar_stack_equals_haar_unitary_calls_in_turn():
+    for d in (2, 3, 5):
+        for n in (0, 1, 11):
+            one_by_one, stacked = np.random.default_rng([d, n]), np.random.default_rng([d, n])
+            want = np.array([linalg.haar_unitary(d, one_by_one) for _ in range(n)], dtype=complex)
+            got = linalg._haar_stack(d, n, stacked)
+            assert got.shape == (n, d, d) and np.array_equal(got, want.reshape(n, d, d))
+            assert stacked.random() == one_by_one.random()
 
 
 def test_haar_unitary_is_unitary(rng):

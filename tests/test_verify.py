@@ -40,3 +40,28 @@ def test_a_suite_runs_its_rows_in_table_order(few_items):
 def test_replay_rejects_an_unknown_check_id():
     with pytest.raises(ImpactPowerError, match="no check has id 99"):
         verify.replay([0, 99, 0])
+
+
+@pytest.mark.parametrize(
+    "replay_seed, part",
+    [
+        ([0, 33, 1_000_000], "past the 1000 items"),
+        ([0, 31, 500], "past the 101 items"),
+        ([0, 31], "three whole numbers"),
+        ([0, 31, 1, 0], "three whole numbers"),
+        ([0, 31, 1.0], "three whole numbers"),
+        ("031", "three whole numbers"),
+        ([0, 31, -1], "'index' must be >= 0"),
+        ([-1, 31, 0], "'seed' must be >= 0"),
+    ],
+)
+def test_replay_rejects_a_seed_that_names_no_item(replay_seed, part):
+    with pytest.raises(ImpactPowerError, match=part):
+        verify.replay(replay_seed, "quick")
+
+
+def test_every_summary_row_has_the_same_keys(few_items):
+    keys = {"name", "items", "tolerance", "worst_error", "margin"}
+    keys |= {"worst_index", "replay_seed", "passed"}
+    for check in verify.run_suite("all")["checks"]:
+        assert set(check) == keys, check["name"]
