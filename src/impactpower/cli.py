@@ -63,7 +63,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     rep = correlations.report(rho, seed=args.seed)
     out = {
         "state": {"dims": list(rho.dims), "purity": rho.purity},
-        "report": rep.to_dict(),
+        "report": dataclasses.asdict(rep),
     }
 
     if args.hamiltonian is not None:

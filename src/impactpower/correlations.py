@@ -13,7 +13,7 @@ p_min <= (4/3) Tr[rho^2] - 1/3, saturated by the Werner family.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -60,7 +60,8 @@ class CorrelationReport:
 
     ``p_min``/``p_max`` and the purity-bound fields are only defined when the
     relevant closed forms apply (qubit A, respectively two qubits) and are
-    None otherwise.  ``method`` records how the discord was obtained.
+    None otherwise.  ``method`` records how the discord was obtained.  The
+    fields, in this order, are the keys of the report that ``compute`` prints.
     """
 
     purity: float
@@ -70,9 +71,6 @@ class CorrelationReport:
     bound_rhs: float | None
     saturates_bound: bool | None
     method: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _require_qubit_a(rho: DensityMatrix, what: str) -> None:
@@ -229,10 +227,11 @@ def measurement_min_discord(
     result is an upper bound on the distance that tightens with more starts;
     for d_A = 2 it reproduces the closed form.
     """
+    starts = linalg._count(starts, "starts")
     rng = np.random.default_rng(seed)
     d_a = rho.d_a
     rho4 = rho.mat.reshape(d_a, rho.d_b, d_a, rho.d_b)
-    draws = linalg._haar_stack(d_a, max(starts - 1, 0), rng)
+    draws = linalg._haar_stack(d_a, starts - 1, rng)
     u = np.concatenate([np.eye(d_a, dtype=complex)[None], draws])
     blocks = np.einsum("sai,abcd,scj->sbdij", u.conj(), rho4, u).reshape(len(u), -1, d_a, d_a)
     return max(rho.purity - float(_joint_diagonal_weight(blocks).max()), 0.0)
@@ -243,15 +242,14 @@ def geometric_discord(
     starts: int = 12,
     seed: int | np.random.Generator | None = 0,
 ) -> tuple[float, str]:
-    """Geometric discord of rho with respect to measurements on A.
+    """Geometric discord of rho with respect to measurements on A, and its method.
 
-    Qubit A: exact, p_min/2 from the M-matrix ("closed-form").  Larger A:
-    von Neumann measurement minimization by Jacobi-angle sweeps
-    (``measurement_min_discord``, "numeric"), an upper bound.
+    ``(discord, method)`` of :func:`report`: exact for qubit A
+    ("closed-form"), an upper bound from the measurement minimization for
+    larger A ("numeric").
     """
-    if rho.d_a == 2:
-        return p_extrema(rho)[0] / 2.0, "closed-form"
-    return measurement_min_discord(rho, starts=starts, seed=seed), "numeric"
+    rep = report(rho, starts=starts, seed=seed)
+    return rep.discord, rep.method
 
 
 def k_matrix(rho: DensityMatrix) -> KMatrix:
@@ -272,20 +270,16 @@ def k_matrix_discord(rho: DensityMatrix) -> float:
 
 
 def purity_bound_check(rho: DensityMatrix) -> BoundCheck:
-    """Evaluate p_min <= (4/3) Tr[rho^2] - 1/3 for a two-qubit state."""
+    """Evaluate p_min <= (4/3) Tr[rho^2] - 1/3 for a two-qubit state, as :func:`report` does."""
     if rho.dims != (2, 2):
         raise DimensionMismatch(f"purity bound requires dims (2, 2), got {rho.dims}")
-    return _purity_bound(rho.purity, p_extrema(rho)[0])
+    rep = report(rho)
+    return BoundCheck(lhs=rep.p_min, rhs=rep.bound_rhs, saturates=rep.saturates_bound)
 
 
 def purity_bound_rhs(purity: float | np.ndarray) -> float | np.ndarray:
     """(4/3) Tr[rho^2] - 1/3, the two-qubit purity bound on p_min; elementwise on arrays."""
     return (4.0 / 3.0) * purity - 1.0 / 3.0
-
-
-def _purity_bound(purity: float, p_min: float) -> BoundCheck:
-    rhs = purity_bound_rhs(purity)
-    return BoundCheck(lhs=p_min, rhs=rhs, saturates=abs(p_min - rhs) <= SATURATION_TOL)
 
 
 def general_dim_bound_check(
@@ -316,30 +310,19 @@ def report(
     starts: int = 12,
     seed: int | np.random.Generator | None = 0,
 ) -> CorrelationReport:
-    """Assemble purity, impact-power extrema, discord and bound data."""
+    """Purity, impact-power extrema, discord and bound data; the one place the regime is chosen.
+
+    Qubit A: the exact discord p_min/2 ("closed-form") from one ``p_extrema``
+    call, and the purity bound for d_B = 2.  Larger A: the numeric upper bound
+    of ``measurement_min_discord`` ("numeric"); the qubit-A fields are None.
+    """
     purity = rho.purity
-    if rho.d_a == 2:
-        p_min, p_max = p_extrema(rho)
-        bound_rhs: float | None = None
-        saturates: bool | None = None
-        if rho.d_b == 2:
-            _, bound_rhs, saturates = _purity_bound(purity, p_min)
-        return CorrelationReport(
-            purity=purity,
-            p_min=p_min,
-            p_max=p_max,
-            discord=p_min / 2.0,
-            bound_rhs=bound_rhs,
-            saturates_bound=saturates,
-            method="closed-form",
-        )
-    discord, method = geometric_discord(rho, starts=starts, seed=seed)
-    return CorrelationReport(
-        purity=purity,
-        p_min=None,
-        p_max=None,
-        discord=discord,
-        bound_rhs=None,
-        saturates_bound=None,
-        method=method,
-    )
+    if rho.d_a != 2:
+        discord = measurement_min_discord(rho, starts=starts, seed=seed)
+        return CorrelationReport(purity, None, None, discord, None, None, method="numeric")
+    p_min, p_max = p_extrema(rho)
+    bound_rhs = saturates = None
+    if rho.d_b == 2:
+        bound_rhs = purity_bound_rhs(purity)
+        saturates = abs(p_min - bound_rhs) <= SATURATION_TOL
+    return CorrelationReport(purity, p_min, p_max, p_min / 2.0, bound_rhs, saturates, method="closed-form")

@@ -19,13 +19,14 @@ own objective, grid and tolerance.
 from __future__ import annotations
 
 import math
+import operator
 import reprlib
 import sys
 from typing import Callable, Generator
 
 import numpy as np
 
-from .errors import DimensionMismatch, ImpactPowerError, NoConvergence, NotHermitian
+from .errors import DimensionMismatch, ImpactPowerError, NoConvergence, NotHermitian, OutOfRange
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -219,6 +220,20 @@ def _pairs_to_matrix(pairs: list[list[float]], rows: int, cols: int, field: str)
             f"got array of shape {flat.shape}"
         )
     return (flat[:, 0] + 1j * flat[:, 1]).reshape(rows, cols)
+
+
+def _count(value, name: str) -> int:
+    """The search count ``name`` as an int: a whole number >= 1 (``operator.index``).
+
+    OutOfRange naming the parameter for 0, -3, 1.5, True, "2" and the like.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = 0
+    if count < 1 or isinstance(value, bool):
+        raise OutOfRange(f"{name}: expected a whole number >= 1, got {reprlib.repr(value)}")
+    return count
 
 
 def _json_int(value, field: str) -> int:

@@ -71,6 +71,7 @@ def fibonacci_sphere_axes(
     perturbations of size jitter * lattice spacing so repeated searches with
     different seeds probe different gap locations.
     """
+    n = linalg._count(n, "n")
     i = np.arange(n, dtype=float)
     z = 1.0 - 2.0 * (i + 0.5) / n
     radius = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
@@ -186,7 +187,7 @@ def _axis_search(
     def signed(axes: np.ndarray) -> np.ndarray:
         return sign * objective(axes)
 
-    axes = fibonacci_sphere_axes(samples, seed=seed, jitter=0.5)
+    axes = fibonacci_sphere_axes(linalg._count(samples, "samples"), seed=seed, jitter=0.5)
     values = _chunked(signed, axes)
     best = int(np.argmin(values))
     descent = _sphere_descent(axes[best], float(values[best]))
@@ -281,6 +282,7 @@ def impact_power_grid(
     h.check_acts_on(rho)
     if h.trivial:
         raise DegenerateHamiltonian("impact power grid search needs at least two distinct levels")
+    grid_points = linalg._count(grid_points, "grid_points")
     embedded = linalg.tensor(h.projectors, np.eye(rho.d_b, dtype=complex))
     value, t = _grid_golden_max(rho.mat, embedded[None], -1j * h.energies, h.period, grid_points)
     return GridMax(value=float(value[0]), t=float(t[0]))
@@ -324,7 +326,7 @@ def p_max_search(
     if rho.d_a != 2:
         raise DimensionMismatch(f"p_max_search requires d_A = 2, got {rho.d_a}")
 
-    objective = partial(_qubit_impact_powers, rho, grid_points=grid_points)
+    objective = partial(_qubit_impact_powers, rho, grid_points=linalg._count(grid_points, "grid_points"))
     return _axis_search(objective, samples, seed, -1.0)
 
 
@@ -486,11 +488,12 @@ def discord_cq_search(
     """
     if rho.dims != (2, 2):
         raise DimensionMismatch(f"discord_cq_search requires dims (2, 2), got {rho.dims}")
+    samples = linalg._count(samples, "samples")
     rng = np.random.default_rng(seed)
     lattice_starts = max(samples // 2, 1)
     # one draw for the random starts, each row normalized on its own: the
     # stream and the bits of one standard_normal(3) call per start
-    random_axes = rng.standard_normal((max(samples - lattice_starts, 0), 3))
+    random_axes = rng.standard_normal((samples - lattice_starts, 3))
     axes = np.array([*fibonacci_sphere_axes(lattice_starts), *(a / np.linalg.norm(a) for a in random_axes)])
     rows = np.concatenate([axes, _conditional_rests(rho, axes)], axis=1)
     values = _chunked(partial(_cq_row_distances, rho.mat), rows).tolist()
@@ -520,5 +523,5 @@ def trace_p_min_probe(
     """
     if rho.d_a != 2:
         raise DimensionMismatch(f"trace_p_min_probe requires d_A = 2, got {rho.d_a}")
-    axes = fibonacci_sphere_axes(samples, seed=seed, jitter=0.5)
+    axes = fibonacci_sphere_axes(linalg._count(samples, "samples"), seed=seed, jitter=0.5)
     return float(np.min(_chunked(partial(_trace_impacts, rho), axes)))

@@ -126,7 +126,7 @@ class DensityMatrix:
     @property
     def purity(self) -> float:
         """Tr[rho^2]."""
-        return float(np.vdot(self.mat, self.mat).real)
+        return linalg.hs_norm_sq(self.mat)
 
     def reduced_a(self) -> np.ndarray:
         """Marginal on A (B traced out)."""
@@ -290,13 +290,11 @@ def random_states(
         raise OutOfRange(f"rank {rank} outside [1, {dim}]")
     if len(seeds) == 0:
         return np.empty((0, dim, dim), dtype=complex)
-    re = np.empty((len(seeds), dim, rank))
-    im = np.empty_like(re)
+    # per seed one draw of the real parts, then the imaginary parts
+    x = np.empty((len(seeds), 2, dim, rank))
     for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        rng.standard_normal(out=re[k])
-        rng.standard_normal(out=im[k])
-    g = re + 1j * im
+        np.random.default_rng(seed).standard_normal(out=x[k])
+    g = x[:, 0] + 1j * x[:, 1]
     mats = g @ g.conj().swapaxes(-1, -2)
     mats /= _traces(mats)[:, None, None]
     return _validated_stack(mats, dim)

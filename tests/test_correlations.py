@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import math
 
@@ -590,3 +591,28 @@ def test_report_qutrit_side(rng):
     assert rep.p_min is None and rep.p_max is None
     assert rep.method == "numeric"
     assert rep.discord >= 0.0
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)])
+def test_report_is_the_one_regime_choice(dims):
+    # every field equals its counterpart from the functions that read the
+    # report, and from p_extrema or measurement_min_discord, to the bit
+    for seed in range(4):
+        rho = states.random_state(dims, seed=[len(dims), *dims, seed])
+        rep = correlations.report(rho)
+        keys = ["purity", "p_min", "p_max", "discord", "bound_rhs", "saturates_bound", "method"]
+        assert list(dataclasses.asdict(rep)) == keys
+        assert rep.purity == rho.purity
+        assert (rep.discord, rep.method) == correlations.geometric_discord(rho)
+        if rho.d_a == 2:
+            p_min, p_max = correlations.p_extrema(rho)
+            assert (rep.p_min, rep.p_max, rep.discord, rep.method) == (p_min, p_max, p_min / 2.0, "closed-form")
+        else:
+            assert (rep.p_min, rep.p_max) == (None, None)
+            assert (rep.discord, rep.method) == (correlations.measurement_min_discord(rho), "numeric")
+        if dims == (2, 2):
+            check = correlations.purity_bound_check(rho)
+            assert (rep.p_min, rep.bound_rhs, rep.saturates_bound) == tuple(check)
+            assert rep.bound_rhs == correlations.purity_bound_rhs(rho.purity)
+        else:
+            assert (rep.bound_rhs, rep.saturates_bound) == (None, None)

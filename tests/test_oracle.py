@@ -6,7 +6,7 @@ import pytest
 
 from impactpower import correlations, dynamics, oracle, states
 from impactpower.linalg import PAULIS
-from impactpower.errors import DegenerateHamiltonian, DimensionMismatch, ImpactPowerError
+from impactpower.errors import DegenerateHamiltonian, DimensionMismatch, ImpactPowerError, OutOfRange
 
 from conftest import random_hermitian
 
@@ -455,3 +455,45 @@ def test_searches_do_not_depend_on_chunking(monkeypatch):
             )
         )
     assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
+_QUBIT_Z = dynamics.LocalHamiltonian.from_bloch_axis([0.0, 0.0, 1.0], 1.0)
+
+
+@pytest.mark.parametrize(
+    "name, search",
+    [
+        pytest.param("n", lambda rho: oracle.fibonacci_sphere_axes(0), id="fibonacci-n=0"),
+        pytest.param("samples", lambda rho: oracle.p_min_search(rho, samples=0), id="p_min-samples=0"),
+        pytest.param("samples", lambda rho: oracle.p_min_search(rho, samples=1.5), id="p_min-samples=1.5"),
+        pytest.param("samples", lambda rho: oracle.p_max_search(rho, samples=0), id="p_max-samples=0"),
+        pytest.param("grid_points", lambda rho: oracle.p_max_search(rho, grid_points=0), id="p_max-grid=0"),
+        pytest.param("grid_points", lambda rho: oracle.p_max_search(rho, grid_points=-3), id="p_max-grid=-3"),
+        pytest.param("samples", lambda rho: oracle.trace_p_min_probe(rho, samples=0), id="trace-samples=0"),
+        pytest.param("samples", lambda rho: oracle.trace_p_min_probe(rho, samples=True), id="trace-samples=True"),
+        pytest.param(
+            "grid_points", lambda rho: oracle.impact_power_grid(rho, _QUBIT_Z, grid_points=0), id="grid-grid=0"
+        ),
+        pytest.param(
+            "grid_points", lambda rho: oracle.impact_power_grid(rho, _QUBIT_Z, grid_points=-3), id="grid-grid=-3"
+        ),
+        pytest.param("samples", lambda rho: oracle.discord_cq_search(rho, samples=0), id="cq-samples=0"),
+        pytest.param("samples", lambda rho: oracle.discord_cq_search(rho, samples=-4), id="cq-samples=-4"),
+        pytest.param("samples", lambda rho: oracle.discord_cq_search(rho, samples="2"), id="cq-samples='2'"),
+        pytest.param(
+            "starts",
+            lambda rho: correlations.measurement_min_discord(states.random_state((3, 2), seed=1), starts=0),
+            id="discord-starts=0",
+        ),
+        pytest.param(
+            "starts",
+            lambda rho: correlations.measurement_min_discord(states.random_state((3, 2), seed=1), starts=-3),
+            id="discord-starts=-3",
+        ),
+    ],
+)
+def test_search_counts_must_be_whole_numbers_of_at_least_one(name, search):
+    # each once raised a bare ZeroDivisionError or numpy error, or returned a
+    # plausible-looking number from one start
+    with pytest.raises(OutOfRange, match=rf"^{name}: expected a whole number >= 1"):
+        search(states.random_state((2, 2), seed=0))
