@@ -53,6 +53,8 @@ _READ_ERRORS = (OSError, UnicodeDecodeError, RecursionError, ValueError)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
+    if args.time_samples < 0:
+        return _fail("--time-samples must be >= 0")
     try:
         rho = states.load_state(args.state_file)
     except ImpactPowerError as exc:
@@ -152,7 +154,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         rows = []
         for start in range(0, args.samples, _SCAN_CHUNK):
             items = range(start, min(start + _SCAN_CHUNK, args.samples))
-            mats = states.random_states((d_a, d_b), rank, [[args.seed, i] for i in items])
+            mats = states.random_states((d_a, d_b), rank, states._row_generators([args.seed], items))
             rows += _scan_rows([str(i) for i in items], mats, d_b)
 
     text = "\n".join([CSV_HEADER] + rows) + "\n"

@@ -84,14 +84,20 @@ _M_ROWS, _M_COLS = np.triu_indices(3)
 
 def _m_stack(mats: np.ndarray, d_b: int):
     # M and its spectrum for every matrix of an (N, 2 d_B, 2 d_B) stack, from
-    # one stacked product and one stacked eigh.  With X_i = rho (sigma_i (x) 1),
+    # stacked products and one stacked eigh.  With X_i = rho (sigma_i (x) 1),
     # M_ij sums the entries of X_i * X_j^T of one matrix in row-major order,
-    # so a matrix gets the same M alone or in any stack.
+    # so a matrix gets the same M alone or in any stack.  Row i of M's upper
+    # triangle is one product of X_i with the contiguous X_j^T, j >= i, so no
+    # temporary holds all six products at once.
     sig = linalg.tensor(np.stack(linalg.PAULIS), np.eye(d_b, dtype=complex))
     x = mats[:, None] @ sig
-    prod = x[:, _M_ROWS] * x[:, _M_COLS].swapaxes(-1, -2)
-    entries = prod.reshape(prod.shape[:2] + (-1,)).sum(axis=-1).real
-    m = np.empty((mats.shape[0], 3, 3))
+    xt = np.ascontiguousarray(x.swapaxes(-1, -2))
+    n = mats.shape[0]
+    entries = np.concatenate(
+        [(x[:, i, None] * xt[:, i:]).reshape(n, 3 - i, -1).sum(axis=-1).real for i in range(3)],
+        axis=1,
+    )
+    m = np.empty((n, 3, 3))
     m[:, _M_ROWS, _M_COLS] = entries
     m[:, _M_COLS, _M_ROWS] = entries
     # finite and exactly symmetric by construction, so LAPACK gets M as it is
@@ -315,7 +321,9 @@ def report(
     Qubit A: the exact discord p_min/2 ("closed-form") from one ``p_extrema``
     call, and the purity bound for d_B = 2.  Larger A: the numeric upper bound
     of ``measurement_min_discord`` ("numeric"); the qubit-A fields are None.
+    Either regime raises OutOfRange unless ``starts`` is a whole number >= 1.
     """
+    starts = linalg._count(starts, "starts")
     purity = rho.purity
     if rho.d_a != 2:
         discord = measurement_min_discord(rho, starts=starts, seed=seed)

@@ -9,8 +9,10 @@ renormalized.  Anything worse is rejected.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 
@@ -298,6 +300,124 @@ def random_states(
     mats = g @ g.conj().swapaxes(-1, -2)
     mats /= _traces(mats)[:, None, None]
     return _validated_stack(mats, dim)
+
+
+# --- per-row generators ---------------------------------------------------
+#
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx) with its default pool
+# of four uint32 words, run over many entropy rows at once.  Each hash step
+# XORs a running constant, multiplies by its next value and folds the high
+# half down; the constants do not depend on the data.
+
+_MASK32 = 0xFFFFFFFF
+_MULT_A = 0x931E8875
+
+
+def _hash_chain(init: int, mult: int, n: int) -> np.ndarray:
+    chain = [init]
+    for _ in range(n):
+        chain.append(chain[-1] * mult & _MASK32)
+    return np.array(chain, dtype=np.uint32)
+
+
+#: the constants of the 4 words' first hashes and of the 12 pool cross-mixes
+_HASH_A = _hash_chain(0x43B0D7E5, _MULT_A, 16)
+
+
+def _cross_table(offset: int) -> np.ndarray:
+    # [src, dst]: a constant of the hash of pool word src that mixes into word
+    # dst; the off-diagonal entries in row-major order are the mixes in turn
+    table = np.zeros((4, 4), dtype=np.uint32)
+    table[~np.eye(4, dtype=bool)] = _HASH_A[offset:offset + 12]
+    return table
+
+
+#: the xor and the multiplier constants of each cross-mix
+_CROSS_XOR, _CROSS_MUL = _cross_table(4), _cross_table(5)
+#: the constants of generate_state(4, uint64): 8 output words over the pool twice
+_HASH_B = _hash_chain(0x8B51F9DD, 0x58F38DED, 8)
+_SHIFT = np.uint32(16)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mul
+    return v ^ (v >> _SHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> _SHIFT)
+
+
+def _int_words(n: int) -> list[int]:
+    # an int >= 0 as SeedSequence splits it: uint32 words, low first, 0 is [0]
+    n = operator.index(n)
+    if n < 0:
+        raise OutOfRange(f"seed words must be >= 0, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.cache
+def _hashed_seed_type() -> type:
+    # PCG64 takes an ISeedSequence as its seed.  The subclass is built on first
+    # use, so that importing the package does not load numpy.random.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        """The PCG64 seed that ``SeedSequence(entropy)`` gives, hashed beforehand."""
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if (n_words, dtype) != (4, np.uint64):
+                raise ValueError(f"holds 4 uint64 words, asked for {n_words} {dtype}")
+            return self.words
+
+    return HashedSeed
+
+
+def _row_generators(prefix: Sequence[int], rows: Sequence[int]) -> list[np.random.Generator]:
+    """``default_rng([*prefix, i])`` for each i in ``rows``, in the same state.
+
+    ``prefix`` holds ints >= 0 and ``rows`` ints in [0, 2**64).
+
+    The rows' SeedSequence hashes run as uint32 array operations over all
+    rows at once, so each row costs a PCG64 and a Generator.  The hash has a
+    fixed cost of a few dozen array operations: worth it for many rows, not
+    for one.
+    """
+    head = [w for p in prefix for w in _int_words(p)]
+    rows = np.asarray(rows, dtype=np.uint64)
+    high = (rows >> np.uint64(32)).astype(np.uint32)
+    p = len(head)
+    # entropy rows padded with zeros: a missing word among the first four
+    # hashes as a zero word would
+    width = max(4, p + 2)
+    entropy = np.zeros((rows.size, width), dtype=np.uint32)
+    entropy[:, :p] = head
+    entropy[:, p] = rows & np.uint64(_MASK32)
+    entropy[:, p + 1] = high
+    pool = _hashmix(entropy[:, :4], _HASH_A[:4], _HASH_A[1:5])
+    for src in range(4):
+        mixed = _mix(pool, _hashmix(pool[:, src, None], _CROSS_XOR[src], _CROSS_MUL[src]))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    # each entropy word past the pool mixes into every pool word, in the rows that have it
+    length = p + 1 + (high > 0)
+    chain = _HASH_A
+    for src in range(4, width):
+        chain = _hash_chain(int(chain[-1]), _MULT_A, 4)
+        mixed = _mix(pool, _hashmix(entropy[:, src, None], chain[:-1], chain[1:]))
+        pool = np.where((length > src)[:, None], mixed, pool)
+    state = _hashmix(np.tile(pool, 2), _HASH_B[:-1], _HASH_B[1:])
+    state = state.astype("<u4").view("<u8").astype(np.uint64)
+    seed_type = _hashed_seed_type()
+    return [np.random.Generator(np.random.PCG64(seed_type(words))) for words in state]
 
 
 def random_cq_spec(

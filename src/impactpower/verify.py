@@ -5,8 +5,9 @@ count, tolerance and item function.  Each check draws a seeded ensemble,
 evaluates a closed form against its independent counterpart (or an
 inequality against its bound), and reports the worst error with
 ``replay_seed = [seed, check id, index]``.  Items run one after another, and
-item i of a check gets the generator ``default_rng([seed, check id, i])``,
-so the replay seed is the worst item's stream by construction:
+item i of a check gets the generator ``default_rng([seed, check id, i])``
+(derived for a chunk of items at once), so the replay seed is the worst
+item's stream by construction:
 ``replay(replay_seed, budget)`` recomputes that item alone, and a seed always
 gives the same summary.
 """
@@ -289,9 +290,20 @@ def _count(check: Check, sizes: dict) -> int:
     return sizes[check.items] if isinstance(check.items, str) else check.items
 
 
+#: items whose generators are derived at once; bounds the generators held at a time
+_RNG_CHUNK = 1024
+
+
+def _item_rngs(seed: int, check: Check, n: int):
+    # default_rng([seed, check id, i]) for i in range(n), in order
+    for start in range(0, n, _RNG_CHUNK):
+        rows = range(start, min(start + _RNG_CHUNK, n))
+        yield from states._row_generators([seed, check.check_id], rows)
+
+
 def _check(check: Check, seed: int, sizes: dict) -> dict:
     n = _count(check, sizes)
-    errors = [check.item(np.random.default_rng([seed, check.check_id, i]), i, sizes) for i in range(n)]
+    errors = [check.item(rng, i, sizes) for i, rng in enumerate(_item_rngs(seed, check, n))]
     worst = int(np.argmax(errors))
     worst_error = float(errors[worst])
     return {

@@ -115,6 +115,15 @@ def test_compute_bell_with_hamiltonian(capsys, bell_file, z_hamiltonian_file):
     assert all(row["trace_impact"] >= row["impact"] - 1e-10 for row in profile)
 
 
+def test_compute_rejects_negative_time_samples(capsys, bell_file, z_hamiltonian_file):
+    argv = ["compute", bell_file, "--hamiltonian", z_hamiltonian_file, "--time-samples"]
+    assert run(capsys, argv + ["-3"]) == (2, "", "error: --time-samples must be >= 0\n")
+    code, out, _ = run(capsys, argv + ["0"])
+    assert code == 0
+    data = json.loads(out)
+    assert "impact_power" in data and "impact_profile" not in data
+
+
 def test_compute_finishes_for_a_tiny_level_gap(capsys, tmp_path):
     state, ham = tmp_path / "s.json", tmp_path / "h.json"
     states.save_state(states.random_state((3, 2), seed=0), state)
@@ -276,6 +285,20 @@ def test_scan_random_matches_per_item_reference(capsys, monkeypatch, dims, rank)
         assert out == expected, chunk
 
 
+def test_scan_random_at_a_two_word_seed_matches_per_item_reference(capsys):
+    # a seed >= 2**32 is two entropy words, so the chunk's stacked seed hash
+    # mixes five words per row; the second chunk starts at row _SCAN_CHUNK
+    samples, seed, dims, rank = cli._SCAN_CHUNK + 5, 2**32 + 9, (2, 4), 2
+    expected = _reference_csv(
+        [
+            _reference_row(str(i), states.random_state(dims, rank=rank, seed=[seed, i]))
+            for i in range(samples)
+        ]
+    )
+    argv = ["scan", "random", "--samples", str(samples), "--dims", "2x4", "--rank", str(rank)]
+    assert run(capsys, argv + ["--seed", str(seed)]) == (0, expected, "")
+
+
 @pytest.mark.parametrize("family,make,lo", [("werner", states.werner, -1.0), ("isotropic", states.isotropic, 0.0)])
 def test_scan_families_match_per_item_reference(capsys, family, make, lo):
     params = np.linspace(lo, 1.0, 21).tolist()
@@ -298,18 +321,30 @@ def test_threads_option_is_accepted_and_starts_no_thread(capsys, monkeypatch):
     assert run(capsys, check)[0] == 0
 
 
-def test_python_dash_m_runs_the_cli():
+def _python(*args):
+    # a fresh interpreter that imports this checkout's package
     package_root = Path(cli.__file__).resolve().parents[1]
     paths = [str(package_root), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run(
-        [sys.executable, "-m", "impactpower", "scan", "werner", "--grid", "3"],
-        capture_output=True, text=True, env=env, check=False,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, check=False)
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _python("-m", "impactpower", "scan", "werner", "--grid", "3")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 4
     assert lines[0] == cli.CSV_HEADER
+
+
+def test_importing_the_package_loads_numpy_random_only_if_numpy_does():
+    # numpy loads numpy.random on first use; the package's seeding code waits
+    # for it too, so that a command that draws nothing does not pay for it
+    loaded = "print('numpy.random' in sys.modules)"
+    proc = _python("-c", f"import sys, numpy; {loaded}; import impactpower; {loaded}")
+    assert proc.returncode == 0, proc.stderr
+    with_numpy, with_package = proc.stdout.split()
+    assert with_package == with_numpy
 
 
 def test_scan_writes_file_with_lf_endings(capsys, tmp_path):

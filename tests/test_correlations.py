@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impactpower import correlations, dynamics, linalg, states
-from impactpower.errors import DegenerateHamiltonian, DimensionMismatch
+from impactpower.errors import DegenerateHamiltonian, DimensionMismatch, OutOfRange
 
 from conftest import random_density, random_hermitian
 
@@ -369,6 +369,42 @@ def test_p_extrema_stack_matches_single_states_bit_for_bit(d_b):
         correlations.p_extrema_stack(mats[0], d_b)
 
 
+_FROZEN_ROWS, _FROZEN_COLS = np.triu_indices(3)
+
+
+def _frozen_fancy_index_m(mats, d_b):
+    # M's upper triangle as one product of fancy-indexed copies of all six (X_i, X_j^T) pairs
+    sig = linalg.tensor(np.stack(linalg.PAULIS), np.eye(d_b, dtype=complex))
+    x = mats[:, None] @ sig
+    prod = x[:, _FROZEN_ROWS] * x[:, _FROZEN_COLS].swapaxes(-1, -2)
+    entries = prod.reshape(prod.shape[:2] + (-1,)).sum(axis=-1).real
+    m = np.empty((mats.shape[0], 3, 3))
+    m[:, _FROZEN_ROWS, _FROZEN_COLS] = entries
+    m[:, _FROZEN_COLS, _FROZEN_ROWS] = entries
+    return m
+
+
+def _m_stack_cases():
+    for d_b in (1, 2, 3, 4):
+        for rank in sorted({1, 2, 2 * d_b}):
+            for n in (1, 7, 40, 300):
+                seeds = [[23, d_b, rank, n, i] for i in range(n)]
+                yield f"2x{d_b} rank {rank} N {n}", d_b, states.random_states((2, d_b), rank, seeds)
+    # the grids give M exact zeros, whose signs must match too
+    yield "werner", 2, np.stack([states.werner(x).mat for x in np.linspace(-1.0, 1.0, 101)])
+    yield "isotropic", 2, np.stack([states.isotropic(f).mat for f in np.linspace(0.0, 1.0, 101)])
+
+
+def test_m_stack_matches_frozen_fancy_index_products():
+    for case, d_b, mats in _m_stack_cases():
+        m, eig = correlations._m_stack(mats, d_b)
+        frozen = _frozen_fancy_index_m(mats, d_b)
+        assert m.tobytes() == frozen.tobytes(), case
+        frozen_eig = linalg._lapack(np.linalg.eigh, frozen.astype(complex))
+        assert eig.eigenvalues.tobytes() == frozen_eig.eigenvalues.tobytes(), case
+        assert eig.eigenvectors.tobytes() == frozen_eig.eigenvectors.tobytes(), case
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
@@ -591,6 +627,16 @@ def test_report_qutrit_side(rng):
     assert rep.p_min is None and rep.p_max is None
     assert rep.method == "numeric"
     assert rep.discord >= 0.0
+
+
+@pytest.mark.parametrize("starts", [0, -5, 1.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)])
+def test_report_rejects_bad_starts_in_either_regime(dims, starts):
+    # the qubit-A closed form does not use starts, and once accepted any value
+    rho = states.random_state(dims, seed=0)
+    for call in (correlations.report, correlations.geometric_discord):
+        with pytest.raises(OutOfRange, match=r"^starts: expected a whole number >= 1"):
+            call(rho, starts=starts)
 
 
 @pytest.mark.parametrize("dims", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 2)])

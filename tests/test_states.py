@@ -215,6 +215,37 @@ def test_random_states_match_single_states_bit_for_bit(dims, rank):
     assert states.random_states(dims, rank, []).shape == (0,) + stack.shape[1:]
 
 
+_ROW_PREFIXES = [0, 2**32 - 1, 2**32, 2**40 + 3, 2**64 + 7, 10**30]
+
+
+@pytest.mark.parametrize("second", [None, 12], ids=["one-int", "two-ints"])
+@pytest.mark.parametrize("first", _ROW_PREFIXES)
+def test_row_generators_match_default_rng(first, second):
+    prefix = [first] if second is None else [first, second]
+    for rows in (range(301), range(2**32 - 3, 2**32 + 3)):
+        gens = states._row_generators(prefix, rows)
+        assert len(gens) == len(rows)
+        for i, gen in zip(rows, gens):
+            reference = np.random.default_rng([*prefix, i])
+            assert gen.bit_generator.state == reference.bit_generator.state, i
+            assert gen.standard_normal(16).tobytes() == reference.standard_normal(16).tobytes(), i
+
+
+def test_row_generators_of_all_zero_and_long_entropy_rows():
+    # all-zero words hash like the pool's zero padding; past four words each
+    # row mixes in only the words it has
+    for prefix in ([], [0, 0, 0], [1, 2, 3, 4, 5, 6]):
+        rows = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        for i, gen in zip(rows, states._row_generators(prefix, rows)):
+            assert gen.bit_generator.state == np.random.default_rng([*prefix, i]).bit_generator.state
+    assert states._row_generators([3], []) == []
+    with pytest.raises(OutOfRange):
+        states._row_generators([-1], range(2))
+    # the hashed seed holds PCG64's 4 uint64 words and refuses any other request
+    with pytest.raises(ValueError, match="holds 4 uint64 words"):
+        states._hashed_seed_type()(np.zeros(4, dtype=np.uint64)).generate_state(8, np.uint32)
+
+
 def _bad_two_qubit_matrices():
     nan = np.eye(4, dtype=complex) / 4
     nan[1, 2] = np.nan
