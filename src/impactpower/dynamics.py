@@ -248,16 +248,23 @@ def _evolved(rho: DensityMatrix, h: LocalHamiltonian, t) -> np.ndarray:
     # the matrix of rho(t) = U rho U^dagger with U = exp(-i H_A t) (x) 1_B,
     # one matrix per entry of the time array t (a single one for a scalar)
     h.check_acts_on(rho)
-    t = np.asarray(t, dtype=float)
-    u_a = _level_sum(np.exp(-1j * h.energies * t[..., None]), h.projectors)
+    try:
+        times = np.asarray(t, dtype=float)
+    except OverflowError:
+        raise OutOfRange(f"time {reprlib.repr(t)} does not fit a float") from None
+    if not np.isfinite(times).all():
+        raise OutOfRange(f"time {reprlib.repr(t)} is non-finite (NaN or inf)")
+    u_a = _level_sum(np.exp(-1j * h.energies * times[..., None]), h.projectors)
     u = linalg.tensor(u_a, np.eye(rho.d_b, dtype=complex))
     return u @ rho.mat @ u.conj().swapaxes(-1, -2)
 
 
 def evolve(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> DensityMatrix:
-    """Conjugate rho by exp(-i H_A t) (x) 1_B."""
+    """Conjugate rho by exp(-i H_A t) (x) 1_B at one time t."""
+    if np.ndim(t) != 0:
+        raise DimensionMismatch(f"evolve takes one time, got an array of shape {np.shape(t)}")
     # unitary conjugation preserves every density-matrix invariant
-    return DensityMatrix(_evolved(rho, h, float(t)), rho.dims, validate=False)
+    return DensityMatrix(_evolved(rho, h, t), rho.dims, validate=False)
 
 
 def impact(rho: DensityMatrix, h: LocalHamiltonian, t) -> float | np.ndarray:

@@ -54,7 +54,7 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _bipartite_view(a: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    d_a, d_b = int(dims[0]), int(dims[1])
+    d_a, d_b = _dims(dims)
     a = np.asarray(a, dtype=complex)
     n = d_a * d_b
     if a.shape[-2:] != (n, n):
@@ -222,18 +222,30 @@ def _pairs_to_matrix(pairs: list[list[float]], rows: int, cols: int, field: str)
     return (flat[:, 0] + 1j * flat[:, 1]).reshape(rows, cols)
 
 
-def _count(value, name: str) -> int:
-    """The search count ``name`` as an int: a whole number >= 1 (``operator.index``).
+def _count(value, name: str, low: int = 1, error: type[ImpactPowerError] = OutOfRange) -> int:
+    """The count ``name`` as an int: a whole number >= ``low`` (``operator.index``).
 
-    OutOfRange naming the parameter for 0, -3, 1.5, True, "2" and the like.
+    ``error`` naming the parameter for 0, -3, 1.5, True, "2" and the like;
+    numpy integers pass.
     """
     try:
         count = operator.index(value)
     except TypeError:
-        count = 0
-    if count < 1 or isinstance(value, bool):
-        raise OutOfRange(f"{name}: expected a whole number >= 1, got {reprlib.repr(value)}")
+        count = low - 1
+    if count < low or isinstance(value, bool):
+        raise error(f"{name}: expected a whole number >= {low}, got {reprlib.repr(value)}")
     return count
+
+
+def _dims(dims) -> tuple[int, int]:
+    """Subsystem dimensions (d_A, d_B) as ints, each read by ``_count``.
+
+    DimensionMismatch naming the value for 0, 2.7, True and the like.
+    """
+    return (
+        _count(dims[0], "subsystem dimension", error=DimensionMismatch),
+        _count(dims[1], "subsystem dimension", error=DimensionMismatch),
+    )
 
 
 def _json_int(value, field: str) -> int:

@@ -20,13 +20,14 @@ CQ multistart, one per start, each get one stacked evaluation a round.
 from __future__ import annotations
 
 import math
+import reprlib
 from functools import partial
 from typing import Callable, Generator, NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateHamiltonian, DimensionMismatch
+from .errors import DegenerateHamiltonian, DimensionMismatch, OutOfRange
 from .states import DensityMatrix
 from .dynamics import LocalHamiltonian
 
@@ -72,15 +73,21 @@ def fibonacci_sphere_axes(
     different seeds probe different gap locations.
     """
     n = linalg._count(n, "n")
+    try:
+        spread = float(jitter)
+    except OverflowError:
+        spread = math.inf
+    if not 0.0 <= spread < math.inf:  # NaN fails both comparisons
+        raise OutOfRange(f"jitter {reprlib.repr(jitter)} is not a finite number >= 0")
     i = np.arange(n, dtype=float)
     z = 1.0 - 2.0 * (i + 0.5) / n
     radius = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
     phi = math.pi * (3.0 - math.sqrt(5.0)) * i
     axes = np.column_stack([radius * np.cos(phi), radius * np.sin(phi), z])
-    if jitter > 0.0:
+    if spread > 0.0:
         rng = np.random.default_rng(seed)
         spacing = math.sqrt(4.0 * math.pi / n)
-        axes = axes + jitter * spacing * rng.standard_normal(axes.shape)
+        axes = axes + spread * spacing * rng.standard_normal(axes.shape)
         axes /= np.linalg.norm(axes, axis=1)[:, None]
     return axes
 
@@ -336,8 +343,16 @@ def unitary_expm_evolve(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> De
     Independent of the spectral route used by :func:`impactpower.dynamics.evolve`.
     """
     h.check_acts_on(rho)
-    generator = -1j * float(t) * linalg.tensor(h.matrix(), np.eye(rho.d_b, dtype=complex))
+    try:
+        time = float(t)
+    except OverflowError:
+        raise OutOfRange(f"time {reprlib.repr(t)} does not fit a float") from None
+    if not math.isfinite(time):
+        raise OutOfRange(f"time {time!r} is non-finite (NaN or inf)")
+    generator = -1j * time * linalg.tensor(h.matrix(), np.eye(rho.d_b, dtype=complex))
     norm = math.sqrt(linalg.hs_norm_sq(generator))
+    if not math.isfinite(norm):
+        raise OutOfRange(f"generator -i H_A t has no finite norm at time {time!r}")
     squarings = max(0, int(math.ceil(math.log2(norm))) + 1) if norm > 1.0 else 0
     scaled = generator / (2.0 ** squarings)
     dim = scaled.shape[0]

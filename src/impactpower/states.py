@@ -104,9 +104,7 @@ class DensityMatrix:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate: bool) -> None:
-        d_a, d_b = int(self.dims[0]), int(self.dims[1])
-        if d_a < 1 or d_b < 1:
-            raise DimensionMismatch(f"subsystem dimensions must be >= 1, got {self.dims}")
+        d_a, d_b = linalg._dims(self.dims)
         mat = np.asarray(self.mat, dtype=complex)
         if validate:
             mat = _validated_density(mat, d_a * d_b)
@@ -142,7 +140,7 @@ class DensityMatrix:
 def from_pure(vec: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
     """Rank-one projector |psi><psi| for a normalized state vector."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
-    d_a, d_b = int(dims[0]), int(dims[1])
+    d_a, d_b = linalg._dims(dims)
     if vec.size != d_a * d_b:
         raise DimensionMismatch(
             f"vector of length {vec.size} does not fit dims {d_a}x{d_b}"
@@ -158,6 +156,7 @@ def from_pure(vec: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
 
 def phi_plus(d: int = 2) -> np.ndarray:
     """Maximally entangled vector sum_k |kk> / sqrt(d) on a d x d space."""
+    d = linalg._count(d, "local dimension")
     v = np.zeros(d * d, dtype=complex)
     v[:: d + 1] = 1.0 / math.sqrt(d)
     return v
@@ -165,6 +164,7 @@ def phi_plus(d: int = 2) -> np.ndarray:
 
 def swap_operator(d: int = 2) -> np.ndarray:
     """Permutation operator F = sum_{k,l} |k><l| (x) |l><k|."""
+    d = linalg._count(d, "local dimension")
     eye = np.eye(d * d, dtype=complex).reshape(d, d, d, d)
     return eye.transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
@@ -191,8 +191,7 @@ def isotropic(f: float, d: int = 2) -> DensityMatrix:
     f = float(f)
     if not 0.0 <= f <= 1.0:
         raise OutOfRange(f"isotropic fidelity {f!r} outside [0, 1]")
-    if d < 2:
-        raise OutOfRange(f"isotropic local dimension must be >= 2, got {d}")
+    d = linalg._count(d, "isotropic local dimension", low=2)
     p = np.outer(phi_plus(d), phi_plus(d).conj())
     mat = (1.0 - f) / (d * d - 1.0) * (np.eye(d * d, dtype=complex) - p) + f * p
     return DensityMatrix(mat, (d, d))
@@ -267,8 +266,7 @@ def random_state(
     at full rank this is the Hilbert-Schmidt induced measure.  Deterministic
     for a given seed.
     """
-    d_a, d_b = int(dims[0]), int(dims[1])
-    return DensityMatrix(random_states(dims, rank, [seed])[0], (d_a, d_b), validate=False)
+    return DensityMatrix(random_states(dims, rank, [seed])[0], dims, validate=False)
 
 
 def random_states(
@@ -282,13 +280,10 @@ def random_states(
     drawn from its own ``default_rng(seeds[k])``, and the stack is validated
     in one pass with the same checks as a single state.
     """
-    d_a, d_b = int(dims[0]), int(dims[1])
-    if d_a < 1 or d_b < 1:
-        raise DimensionMismatch(f"subsystem dimensions must be >= 1, got {dims}")
+    d_a, d_b = linalg._dims(dims)
     dim = d_a * d_b
-    if rank is None:
-        rank = dim
-    if not 1 <= rank <= dim:
+    rank = dim if rank is None else linalg._count(rank, "rank")
+    if rank > dim:
         raise OutOfRange(f"rank {rank} outside [1, {dim}]")
     if len(seeds) == 0:
         return np.empty((0, dim, dim), dtype=complex)
@@ -426,10 +421,9 @@ def random_cq_spec(
     seed: int | np.random.Generator | None = None,
 ) -> ClassicalQuantumSpec:
     """Sample a random classical-quantum spec (Haar basis, Dirichlet weights)."""
-    d_a, d_b = int(dims[0]), int(dims[1])
-    if n_blocks is None:
-        n_blocks = d_a
-    if not 1 <= n_blocks <= d_a:
+    d_a, d_b = linalg._dims(dims)
+    n_blocks = d_a if n_blocks is None else linalg._count(n_blocks, "block count")
+    if n_blocks > d_a:
         raise OutOfRange(f"block count {n_blocks} outside [1, {d_a}]")
     rng = np.random.default_rng(seed)
     basis = linalg.haar_unitary(d_a, rng)[:, :n_blocks]

@@ -6,10 +6,9 @@ evaluates a closed form against its independent counterpart (or an
 inequality against its bound), and reports the worst error with
 ``replay_seed = [seed, check id, index]``.  Items run one after another, and
 item i of a check gets the generator ``default_rng([seed, check id, i])``
-(derived for a chunk of items at once), so the replay seed is the worst
-item's stream by construction:
-``replay(replay_seed, budget)`` recomputes that item alone, and a seed always
-gives the same summary.
+from the one function that both the run and ``replay(replay_seed, budget)``
+call, so the replay seed is the worst item's stream by construction: replay
+recomputes that item alone, and a seed always gives the same summary.
 """
 
 from __future__ import annotations
@@ -290,20 +289,14 @@ def _count(check: Check, sizes: dict) -> int:
     return sizes[check.items] if isinstance(check.items, str) else check.items
 
 
-#: items whose generators are derived at once; bounds the generators held at a time
-_RNG_CHUNK = 1024
-
-
-def _item_rngs(seed: int, check: Check, n: int):
-    # default_rng([seed, check id, i]) for i in range(n), in order
-    for start in range(0, n, _RNG_CHUNK):
-        rows = range(start, min(start + _RNG_CHUNK, n))
-        yield from states._row_generators([seed, check.check_id], rows)
+def _error(check: Check, seed: int, i: int, sizes: dict) -> float:
+    # item i's error, from its own stream default_rng([seed, check id, i])
+    return check.item(np.random.default_rng([seed, check.check_id, i]), i, sizes)
 
 
 def _check(check: Check, seed: int, sizes: dict) -> dict:
     n = _count(check, sizes)
-    errors = [check.item(rng, i, sizes) for i, rng in enumerate(_item_rngs(seed, check, n))]
+    errors = [_error(check, seed, i, sizes) for i in range(n)]
     worst = int(np.argmax(errors))
     worst_error = float(errors[worst])
     return {
@@ -327,7 +320,7 @@ def replay(replay_seed: list[int], budget: str = "quick") -> float:
     """
     sizes = _sizes(budget)
     try:
-        _, check_id, index = words = [operator.index(v) for v in replay_seed]
+        seed, check_id, index = words = [operator.index(v) for v in replay_seed]
     except (TypeError, ValueError):
         raise ImpactPowerError(
             f"replay seed must be three whole numbers [seed, check id, index], got {replay_seed!r}"
@@ -343,7 +336,7 @@ def replay(replay_seed: list[int], budget: str = "quick") -> float:
         raise ImpactPowerError(
             f"replay seed index {index} is past the {n} items of {check.name!r} at budget {budget!r}"
         )
-    return float(check.item(np.random.default_rng(words), index, sizes))
+    return float(_error(check, seed, index, sizes))
 
 
 def run_suite(suite: str, seed: int = 0, budget: str = "quick", timings: list | None = None) -> dict:

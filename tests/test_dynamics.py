@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from impactpower import dynamics, linalg, states
+from impactpower import dynamics, linalg, oracle, states
 from impactpower.errors import DimensionMismatch, ImpactPowerError, InvalidHamiltonian, OutOfRange
 
 from conftest import random_hermitian
@@ -228,6 +228,40 @@ def test_evolve_preserves_purity(rng):
 def test_evolve_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         dynamics.evolve(states.random_state((3, 2), seed=1), DIAG_QUBIT, 1.0)
+
+
+_TIME_ROUTES = {
+    "evolve": dynamics.evolve,
+    "impact": dynamics.impact,
+    "trace_impact": dynamics.trace_impact,
+    "expm_oracle": oracle.unitary_expm_evolve,
+}
+
+
+@pytest.mark.parametrize(
+    "route, t, error, message",
+    [
+        ("evolve", math.nan, OutOfRange, "time nan is non-finite"),
+        ("evolve", 10**400, OutOfRange, "does not fit a float"),
+        ("evolve", [1.0, 2.0], DimensionMismatch, "one time"),
+        ("impact", math.inf, OutOfRange, "time inf is non-finite"),
+        ("impact", 10**400, OutOfRange, "does not fit a float"),
+        ("impact", [0.0, 1.0, -math.inf], OutOfRange, "is non-finite"),
+        ("trace_impact", math.nan, OutOfRange, "time nan is non-finite"),
+        ("trace_impact", [10**400, 1.0], OutOfRange, "does not fit a float"),
+        ("expm_oracle", math.nan, OutOfRange, "time nan is non-finite"),
+        ("expm_oracle", -math.inf, OutOfRange, "time -inf is non-finite"),
+        ("expm_oracle", 1e300, OutOfRange, "no finite norm at time 1e\\+300"),
+        ("expm_oracle", 10**400, OutOfRange, "does not fit a float"),
+    ],
+)
+def test_a_time_that_is_no_finite_float_is_out_of_range(route, t, error, message):
+    # each once gave NaN entries, a NaN impact, a bare OverflowError or a
+    # complaint about a non-finite rho the caller never passed
+    rho = states.random_state((2, 2), seed=0)
+    h = dynamics.LocalHamiltonian.from_bloch_axis([0.0, 0.0, 1.0], 1.0)
+    with pytest.raises(error, match=message):
+        _TIME_ROUTES[route](rho, h, t)
 
 
 def test_impact_zero_at_t0(rng):

@@ -244,6 +244,13 @@ def test_fibonacci_axes_unit_and_deterministic():
     assert np.max(np.abs(np.linalg.norm(jittered, axis=1) - 1.0)) <= 1e-12
 
 
+@pytest.mark.parametrize("jitter", [math.inf, -math.inf, math.nan, -0.5, 10**400])
+def test_fibonacci_jitter_must_be_finite_and_not_negative(jitter):
+    # inf once gave all-NaN axes; NaN and negative values were silently ignored
+    with pytest.raises(OutOfRange, match="jitter .* is not a finite number >= 0"):
+        oracle.fibonacci_sphere_axes(4, seed=0, jitter=jitter)
+
+
 # --- stacked search machinery --------------------------------------------------
 
 

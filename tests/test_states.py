@@ -163,6 +163,41 @@ def test_isotropic_rejects_out_of_range():
         states.isotropic(1.2, 2)
 
 
+@pytest.mark.parametrize(
+    "build, error, value",
+    [
+        (lambda: states.DensityMatrix(np.eye(4) / 4, (2.7, 2)), DimensionMismatch, "2.7"),
+        (lambda: states.DensityMatrix(np.eye(2) / 2, (2, True)), DimensionMismatch, "True"),
+        (lambda: states.from_pure(np.eye(4)[0], (2.5, 2)), DimensionMismatch, "2.5"),
+        (lambda: linalg.partial_trace_B(np.eye(4), (2.5, 2)), DimensionMismatch, "2.5"),
+        (lambda: linalg.partial_trace_A(np.eye(4), (2, 2.0)), DimensionMismatch, "2.0"),
+        (lambda: states.random_state((2.0, 2), seed=0), DimensionMismatch, "2.0"),
+        (lambda: states.random_state((2, 2), rank=1.5), OutOfRange, "1.5"),
+        (lambda: states.random_cq_spec((2, 2), n_blocks=1.5), OutOfRange, "1.5"),
+        (lambda: states.random_cq_spec((2, "2")), DimensionMismatch, "'2'"),
+        (lambda: states.isotropic(0.5, 2.0), OutOfRange, "2.0"),
+        (lambda: states.phi_plus(2.0), OutOfRange, "2.0"),
+        (lambda: states.swap_operator(0), OutOfRange, "0"),
+    ],
+    ids=["density-2.7", "density-True", "pure-2.5", "trace-B-2.5", "trace-A-2.0",
+         "random-dims-2.0", "rank-1.5", "blocks-1.5", "cq-dims-str", "isotropic-2.0",
+         "phi-plus-2.0", "swap-0"],
+)
+def test_a_dimension_or_count_that_is_no_whole_number_is_refused(build, error, value):
+    # each was once truncated to an int or raised a bare TypeError
+    with pytest.raises(error, match=rf"expected a whole number >= \d, got {value}$"):
+        build()
+
+
+def test_numpy_integer_dims_and_counts_pass():
+    two = np.int64(2)
+    rho = states.random_state((two, np.int32(2)), rank=two, seed=0)
+    assert rho.dims == (2, 2) and type(rho.dims[0]) is int
+    assert np.array_equal(rho.mat, states.random_state((2, 2), rank=2, seed=0).mat)
+    assert states.random_cq_spec((two, two), n_blocks=two, seed=0).probabilities.size == 2
+    assert states.isotropic(0.5, np.int8(3)).dims == (3, 3)
+
+
 def test_random_state_rank_one_is_pure():
     rho = states.random_state((2, 2), rank=1, seed=11)
     assert abs(rho.purity - 1.0) <= 1e-10
