@@ -196,7 +196,7 @@ def _joint_diagonal_weight(a: np.ndarray) -> np.ndarray:
                 np.add(apq, aqp, out=h[:, 1])
                 np.multiply(1j, aqp - apq, out=h[:, 2])
                 g = (h @ h.conj().swapaxes(-1, -2)).real
-                vals, vecs = np.linalg.eigh(g)
+                vals, vecs = linalg._lapack(np.linalg.eigh, g)
                 gain = vals[:, -1] - g[:, 0, 0] > _GAIN_ROUNDOFF * vals[:, -1]
                 if not gain.any():
                     continue

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,23 +190,16 @@ class LocalHamiltonian:
     @classmethod
     def from_bloch_axis(cls, axis, gap: float) -> "LocalHamiltonian":
         """Qubit Hamiltonian (gap/2) r.sigma for a unit axis r."""
-        axis = np.asarray(axis, dtype=float).reshape(-1)
+        axis = np.reshape(linalg._real(axis, "bloch axis"), -1)
         if axis.shape != (3,):
             raise DimensionMismatch(f"bloch axis must have 3 components, got {axis.shape}")
-        if not np.all(np.isfinite(axis)):
-            raise OutOfRange("bloch axis has non-finite (NaN or inf) components")
         largest = float(np.max(np.abs(axis)))
         if largest == 0.0:
             raise OutOfRange("bloch axis must be nonzero")
         if not 1e-150 < largest < 1e150:  # the squares in its norm would under- or overflow
             axis = axis / largest
         nrm = float(np.linalg.norm(axis))
-        try:
-            gap = float(gap)
-        except OverflowError:
-            raise OutOfRange(f"gap {reprlib.repr(gap)} does not fit a float") from None
-        if not math.isfinite(gap):
-            raise OutOfRange(f"gap {gap!r} is non-finite")
+        gap = linalg._real(gap, "gap")
         axis = axis / nrm
         r_sigma = sum(axis[i] * linalg.PAULIS[i] for i in range(3))
         eye2 = np.eye(2, dtype=complex)
@@ -248,12 +240,7 @@ def _evolved(rho: DensityMatrix, h: LocalHamiltonian, t) -> np.ndarray:
     # the matrix of rho(t) = U rho U^dagger with U = exp(-i H_A t) (x) 1_B,
     # one matrix per entry of the time array t (a single one for a scalar)
     h.check_acts_on(rho)
-    try:
-        times = np.asarray(t, dtype=float)
-    except OverflowError:
-        raise OutOfRange(f"time {reprlib.repr(t)} does not fit a float") from None
-    if not np.isfinite(times).all():
-        raise OutOfRange(f"time {reprlib.repr(t)} is non-finite (NaN or inf)")
+    times = np.asarray(linalg._real(t, "time"))
     u_a = _level_sum(np.exp(-1j * h.energies * times[..., None]), h.projectors)
     u = linalg.tensor(u_a, np.eye(rho.d_b, dtype=complex))
     return u @ rho.mat @ u.conj().swapaxes(-1, -2)

@@ -240,12 +240,39 @@ def _count(value, name: str, low: int = 1, error: type[ImpactPowerError] = OutOf
 def _dims(dims) -> tuple[int, int]:
     """Subsystem dimensions (d_A, d_B) as ints, each read by ``_count``.
 
-    DimensionMismatch naming the value for 0, 2.7, True and the like.
+    DimensionMismatch naming the value for (2,), (2, 2, 5), 0, 2.7, True and the like.
     """
+    try:
+        d_a, d_b = dims
+    except (TypeError, ValueError):
+        raise DimensionMismatch(f"expected a pair (d_A, d_B), got {reprlib.repr(dims)}") from None
     return (
-        _count(dims[0], "subsystem dimension", error=DimensionMismatch),
-        _count(dims[1], "subsystem dimension", error=DimensionMismatch),
+        _count(d_a, "subsystem dimension", error=DimensionMismatch),
+        _count(d_b, "subsystem dimension", error=DimensionMismatch),
     )
+
+
+def _real(value, name: str, low: float = -math.inf, high: float = math.inf):
+    """The real parameter ``name`` as a float, or a float array for array input.
+
+    OutOfRange naming it unless every entry is a finite int or float (numpy
+    numbers pass) within [low, high]: for "0.3", True, NaN, inf, 10**400.
+    """
+    # entry by entry unless a numeric array: numpy reads [0.5, True] as [0.5, 1.0]
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf") and not all(
+        isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+        for v in np.asarray(value, dtype=object).flat
+    ):
+        raise OutOfRange(f"{name} {reprlib.repr(value)} is not a real number")
+    try:
+        array = np.asarray(value, dtype=float)
+    except OverflowError:
+        raise OutOfRange(f"{name} {reprlib.repr(value)} does not fit a float") from None
+    if not np.isfinite(array).all():
+        raise OutOfRange(f"{name} {reprlib.repr(array.tolist())} is non-finite (NaN or inf)")
+    if not ((low <= array) & (array <= high)).all():
+        raise OutOfRange(f"{name} {reprlib.repr(array.tolist())} outside [{low:g}, {high:g}]")
+    return float(array) if array.ndim == 0 else array
 
 
 def _json_int(value, field: str) -> int:

@@ -20,7 +20,6 @@ CQ multistart, one per start, each get one stacked evaluation a round.
 from __future__ import annotations
 
 import math
-import reprlib
 from functools import partial
 from typing import Callable, Generator, NamedTuple
 
@@ -73,12 +72,7 @@ def fibonacci_sphere_axes(
     different seeds probe different gap locations.
     """
     n = linalg._count(n, "n")
-    try:
-        spread = float(jitter)
-    except OverflowError:
-        spread = math.inf
-    if not 0.0 <= spread < math.inf:  # NaN fails both comparisons
-        raise OutOfRange(f"jitter {reprlib.repr(jitter)} is not a finite number >= 0")
+    spread = linalg._real(jitter, "jitter", low=0.0)
     i = np.arange(n, dtype=float)
     z = 1.0 - 2.0 * (i + 0.5) / n
     radius = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
@@ -343,12 +337,9 @@ def unitary_expm_evolve(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> De
     Independent of the spectral route used by :func:`impactpower.dynamics.evolve`.
     """
     h.check_acts_on(rho)
-    try:
-        time = float(t)
-    except OverflowError:
-        raise OutOfRange(f"time {reprlib.repr(t)} does not fit a float") from None
-    if not math.isfinite(time):
-        raise OutOfRange(f"time {time!r} is non-finite (NaN or inf)")
+    time = linalg._real(t, "time")
+    if np.ndim(time) != 0:
+        raise DimensionMismatch(f"unitary_expm_evolve takes one time, got shape {np.shape(time)}")
     generator = -1j * time * linalg.tensor(h.matrix(), np.eye(rho.d_b, dtype=complex))
     norm = math.sqrt(linalg.hs_norm_sq(generator))
     if not math.isfinite(norm):

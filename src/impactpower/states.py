@@ -175,9 +175,7 @@ def werner(x: float) -> DensityMatrix:
     Purity is (x^2 - x + 1)/3; the family runs from the singlet (x = -1)
     through the maximally mixed state (x = 1/2) to the symmetric edge (x = 1).
     """
-    x = float(x)
-    if not -1.0 <= x <= 1.0:
-        raise OutOfRange(f"werner parameter {x!r} outside [-1, 1]")
+    x = linalg._real(x, "werner parameter", -1.0, 1.0)
     mat = (2.0 - x) / 6.0 * np.eye(4, dtype=complex) + (2.0 * x - 1.0) / 6.0 * swap_operator(2)
     return DensityMatrix(mat, (2, 2))
 
@@ -188,9 +186,7 @@ def isotropic(f: float, d: int = 2) -> DensityMatrix:
     rho = (1-f)/(d^2-1) * (Id - P) + f * P with P the maximally entangled
     projector; invariant under U (x) U* twirling.
     """
-    f = float(f)
-    if not 0.0 <= f <= 1.0:
-        raise OutOfRange(f"isotropic fidelity {f!r} outside [0, 1]")
+    f = linalg._real(f, "isotropic fidelity", 0.0, 1.0)
     d = linalg._count(d, "isotropic local dimension", low=2)
     p = np.outer(phi_plus(d), phi_plus(d).conj())
     mat = (1.0 - f) / (d * d - 1.0) * (np.eye(d * d, dtype=complex) - p) + f * p
@@ -210,19 +206,17 @@ class ClassicalQuantumSpec:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        probs = np.asarray(self.probabilities, dtype=float).reshape(-1)
+        probs = np.reshape(linalg._real(self.probabilities, "probabilities", low=-1e-12), -1)
         basis = np.asarray(self.basis, dtype=complex)
         blocks = tuple(np.asarray(b, dtype=complex) for b in self.blocks)
         n = probs.size
-        if not (np.all(np.isfinite(probs)) and np.all(np.isfinite(basis))):
-            raise OutOfRange("probabilities or basis have non-finite (NaN or inf) entries")
+        if not np.all(np.isfinite(basis)):
+            raise OutOfRange("basis has non-finite (NaN or inf) entries")
         if basis.ndim != 2 or basis.shape[1] != n or len(blocks) != n:
             raise DimensionMismatch(
                 f"need one basis column and one block per probability "
                 f"(got {n} probabilities, basis {basis.shape}, {len(blocks)} blocks)"
             )
-        if np.any(probs < -1e-12):
-            raise OutOfRange(f"negative probability {float(probs.min())!r}")
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise OutOfRange(f"probabilities sum to {float(probs.sum())!r}, expected 1")
         gram = basis.conj().T @ basis

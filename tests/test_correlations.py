@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impactpower import correlations, dynamics, linalg, states
-from impactpower.errors import DegenerateHamiltonian, DimensionMismatch, OutOfRange
+from impactpower.errors import DegenerateHamiltonian, DimensionMismatch, NoConvergence, OutOfRange
 
 from conftest import random_density, random_hermitian
 
@@ -180,6 +180,18 @@ def test_measurement_min_discord_maximally_mixed_qutrit():
     # every basis dephases Id/6 to itself, so each pair gain is 0 from the start
     value = correlations.measurement_min_discord(states.DensityMatrix(np.eye(6) / 6, (3, 2)))
     assert 0.0 <= value <= 1e-12
+
+
+def test_measurement_min_discord_reports_a_solver_failure(monkeypatch):
+    # the Jacobi sweep's eigh once let a bare LinAlgError escape
+    rho = states.random_state((3, 2), seed=0)
+
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        correlations.measurement_min_discord(rho)
 
 
 @settings(max_examples=12, deadline=None)

@@ -253,11 +253,18 @@ _TIME_ROUTES = {
         ("expm_oracle", -math.inf, OutOfRange, "time -inf is non-finite"),
         ("expm_oracle", 1e300, OutOfRange, "no finite norm at time 1e\\+300"),
         ("expm_oracle", 10**400, OutOfRange, "does not fit a float"),
+        ("expm_oracle", [1.0, 2.0], DimensionMismatch, "one time"),
+    ]
+    + [
+        (route, t, OutOfRange, f"time {t!r} is not a real number")
+        for route in ("evolve", "impact", "trace_impact", "expm_oracle")
+        for t in ("1.0", True)
     ],
 )
 def test_a_time_that_is_no_finite_float_is_out_of_range(route, t, error, message):
-    # each once gave NaN entries, a NaN impact, a bare OverflowError or a
-    # complaint about a non-finite rho the caller never passed
+    # each once gave NaN entries, a NaN impact, a bare OverflowError, a bare
+    # TypeError, a complaint about a non-finite rho the caller never passed, or
+    # read a string or a bool as a time
     rho = states.random_state((2, 2), seed=0)
     h = dynamics.LocalHamiltonian.from_bloch_axis([0.0, 0.0, 1.0], 1.0)
     with pytest.raises(error, match=message):

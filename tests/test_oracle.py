@@ -244,10 +244,23 @@ def test_fibonacci_axes_unit_and_deterministic():
     assert np.max(np.abs(np.linalg.norm(jittered, axis=1) - 1.0)) <= 1e-12
 
 
-@pytest.mark.parametrize("jitter", [math.inf, -math.inf, math.nan, -0.5, 10**400])
-def test_fibonacci_jitter_must_be_finite_and_not_negative(jitter):
-    # inf once gave all-NaN axes; NaN and negative values were silently ignored
-    with pytest.raises(OutOfRange, match="jitter .* is not a finite number >= 0"):
+@pytest.mark.parametrize(
+    "jitter, problem",
+    [
+        (math.inf, r"is non-finite \(NaN or inf\)"),
+        (-math.inf, r"is non-finite \(NaN or inf\)"),
+        (math.nan, r"is non-finite \(NaN or inf\)"),
+        (-0.5, r"outside \[0, inf\]"),
+        (10**400, "does not fit a float"),
+        ("0.5", "is not a real number"),
+        (True, "is not a real number"),
+    ],
+    ids=["inf", "-inf", "nan", "-0.5", str(10**400), "0.5-string", "True"],
+)
+def test_fibonacci_jitter_must_be_finite_and_not_negative(jitter, problem):
+    # inf once gave all-NaN axes; NaN and negative values were silently
+    # ignored, and "0.5" and True were read as numbers
+    with pytest.raises(OutOfRange, match=f"^jitter .* {problem}$"):
         oracle.fibonacci_sphere_axes(4, seed=0, jitter=jitter)
 
 

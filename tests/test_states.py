@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from impactpower import linalg, states
+from impactpower.dynamics import LocalHamiltonian
 from impactpower.errors import (
     DimensionMismatch,
     InvalidDensityMatrix,
@@ -65,6 +67,45 @@ def test_werner_rejects_out_of_range():
         states.werner(1.5)
     with pytest.raises(OutOfRange):
         states.werner(-1.0001)
+
+
+_HALF_QUBIT = (np.eye(2, dtype=complex) / 2, np.eye(2, dtype=complex) / 2)
+#: per real parameter: a call that puts its argument there, and a finite value
+#: out of its range with the words that refuse it (any finite gap is valid)
+_REAL_PARAMETERS = {
+    "werner parameter": (states.werner, 1.5, r"outside \[-1, 1\]"),
+    "isotropic fidelity": (states.isotropic, -0.1, r"outside \[0, 1\]"),
+    "probabilities": (
+        lambda p: states.ClassicalQuantumSpec([p, 0.5], np.eye(2, dtype=complex), _HALF_QUBIT),
+        -0.5,
+        r"outside \[-1e-12, inf\]",
+    ),
+    "bloch axis": (lambda r: LocalHamiltonian.from_bloch_axis([0.0, 0.0, r], 1.0), 0.0, "must be nonzero"),
+    "gap": (lambda g: LocalHamiltonian.from_bloch_axis([0.0, 0.0, 1.0], g), None, None),
+}
+_NOT_REAL = {
+    "string": ("0.3", "is not a real number"),
+    "bool": (True, "is not a real number"),
+    "nan": (math.nan, r"is non-finite \(NaN or inf\)"),
+    "inf": (math.inf, r"is non-finite \(NaN or inf\)"),
+    "1e400-int": (10**400, "does not fit a float"),
+}
+_REAL_CASES = [
+    pytest.param(name, value, problem, id=f"{name}-{kind}")
+    for name in _REAL_PARAMETERS
+    for kind, (value, problem) in _NOT_REAL.items()
+] + [
+    pytest.param(name, value, problem, id=f"{name}-out-of-range")
+    for name, (_, value, problem) in _REAL_PARAMETERS.items()
+    if problem
+]
+
+
+@pytest.mark.parametrize("name, value, problem", _REAL_CASES)
+def test_a_real_parameter_that_is_no_finite_number_in_range_is_refused(name, value, problem):
+    # "0.3" and True were read as numbers, and 10**400 raised a bare OverflowError
+    with pytest.raises(OutOfRange, match=f"^{name} .*{problem}$"):
+        _REAL_PARAMETERS[name][0](value)
 
 
 def test_classical_quantum_single_term():
@@ -163,29 +204,37 @@ def test_isotropic_rejects_out_of_range():
         states.isotropic(1.2, 2)
 
 
+_WHOLE = r"a whole number >= \d, got "
+_PAIR = r"a pair \(d_A, d_B\), got "
+
+
 @pytest.mark.parametrize(
-    "build, error, value",
+    "build, error, message",
     [
-        (lambda: states.DensityMatrix(np.eye(4) / 4, (2.7, 2)), DimensionMismatch, "2.7"),
-        (lambda: states.DensityMatrix(np.eye(2) / 2, (2, True)), DimensionMismatch, "True"),
-        (lambda: states.from_pure(np.eye(4)[0], (2.5, 2)), DimensionMismatch, "2.5"),
-        (lambda: linalg.partial_trace_B(np.eye(4), (2.5, 2)), DimensionMismatch, "2.5"),
-        (lambda: linalg.partial_trace_A(np.eye(4), (2, 2.0)), DimensionMismatch, "2.0"),
-        (lambda: states.random_state((2.0, 2), seed=0), DimensionMismatch, "2.0"),
-        (lambda: states.random_state((2, 2), rank=1.5), OutOfRange, "1.5"),
-        (lambda: states.random_cq_spec((2, 2), n_blocks=1.5), OutOfRange, "1.5"),
-        (lambda: states.random_cq_spec((2, "2")), DimensionMismatch, "'2'"),
-        (lambda: states.isotropic(0.5, 2.0), OutOfRange, "2.0"),
-        (lambda: states.phi_plus(2.0), OutOfRange, "2.0"),
-        (lambda: states.swap_operator(0), OutOfRange, "0"),
+        (lambda: states.DensityMatrix(np.eye(4) / 4, (2.7, 2)), DimensionMismatch, _WHOLE + "2.7"),
+        (lambda: states.DensityMatrix(np.eye(2) / 2, (2, True)), DimensionMismatch, _WHOLE + "True"),
+        (lambda: states.from_pure(np.eye(4)[0], (2.5, 2)), DimensionMismatch, _WHOLE + "2.5"),
+        (lambda: linalg.partial_trace_B(np.eye(4), (2.5, 2)), DimensionMismatch, _WHOLE + "2.5"),
+        (lambda: linalg.partial_trace_A(np.eye(4), (2, 2.0)), DimensionMismatch, _WHOLE + "2.0"),
+        (lambda: states.random_state((2.0, 2), seed=0), DimensionMismatch, _WHOLE + "2.0"),
+        (lambda: states.random_state((2, 2), rank=1.5), OutOfRange, _WHOLE + "1.5"),
+        (lambda: states.random_cq_spec((2, 2), n_blocks=1.5), OutOfRange, _WHOLE + "1.5"),
+        (lambda: states.random_cq_spec((2, "2")), DimensionMismatch, _WHOLE + "'2'"),
+        (lambda: states.isotropic(0.5, 2.0), OutOfRange, _WHOLE + "2.0"),
+        (lambda: states.phi_plus(2.0), OutOfRange, _WHOLE + "2.0"),
+        (lambda: states.swap_operator(0), OutOfRange, _WHOLE + "0"),
+        (lambda: states.DensityMatrix(np.eye(4) / 4, (2, 2, 5)), DimensionMismatch, _PAIR + r"\(2, 2, 5\)"),
+        (lambda: linalg.partial_trace_B(np.eye(4), [2, 2, 7]), DimensionMismatch, _PAIR + r"\[2, 2, 7\]"),
+        (lambda: states.random_state((2,), seed=0), DimensionMismatch, _PAIR + r"\(2,\)"),
     ],
     ids=["density-2.7", "density-True", "pure-2.5", "trace-B-2.5", "trace-A-2.0",
          "random-dims-2.0", "rank-1.5", "blocks-1.5", "cq-dims-str", "isotropic-2.0",
-         "phi-plus-2.0", "swap-0"],
+         "phi-plus-2.0", "swap-0", "density-three-dims", "trace-B-three-dims", "random-one-dim"],
 )
-def test_a_dimension_or_count_that_is_no_whole_number_is_refused(build, error, value):
-    # each was once truncated to an int or raised a bare TypeError
-    with pytest.raises(error, match=rf"expected a whole number >= \d, got {value}$"):
+def test_a_dimension_or_count_that_is_no_whole_number_is_refused(build, error, message):
+    # each was once truncated to an int, read only its first two entries, or
+    # raised a bare TypeError or IndexError
+    with pytest.raises(error, match=f"expected {message}$"):
         build()
 
 
