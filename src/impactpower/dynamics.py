@@ -248,10 +248,11 @@ def _evolved(rho: DensityMatrix, h: LocalHamiltonian, t) -> np.ndarray:
 
 def evolve(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> DensityMatrix:
     """Conjugate rho by exp(-i H_A t) (x) 1_B at one time t."""
-    if np.ndim(t) != 0:
-        raise DimensionMismatch(f"evolve takes one time, got an array of shape {np.shape(t)}")
+    time = linalg._real(t, "time")
+    if np.ndim(time) != 0:
+        raise DimensionMismatch(f"evolve takes one time, got an array of shape {np.shape(time)}")
     # unitary conjugation preserves every density-matrix invariant
-    return DensityMatrix(_evolved(rho, h, t), rho.dims, validate=False)
+    return DensityMatrix(_evolved(rho, h, time), rho.dims, validate=False)
 
 
 def impact(rho: DensityMatrix, h: LocalHamiltonian, t) -> float | np.ndarray:

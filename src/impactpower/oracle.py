@@ -11,10 +11,23 @@ candidates (axes, times or CQ parameters) in one numpy pass, at most
 value does not depend on how candidates are stacked.  The searches keep the
 candidate order, step schedule, tolerances and acceptance rule of trying one
 candidate at a time: a descent round accepts the first improving candidate of
-its stack and re-stacks the remaining moves from there.  Every search is a
-coroutine that yields its requests, run by :func:`impactpower.linalg._lockstep`:
-the golden sections of a time polish, one per bracket, and the starts of the
-CQ multistart, one per start, each get one stacked evaluation a round.
+its stack and re-stacks the remaining moves from there.  The sphere descent of
+``p_min_search`` and ``p_max_search`` also stacks, after the moves left in its
+round, the moves of the next ``_LOOKAHEAD`` rounds as they run if every move
+before them is rejected.  Those rows are exactly the candidates that trying
+one at a time reaches while it rejects, so the first improving row is still
+the next move it accepts, and fewer stacks run one after another.  Every search
+is a coroutine that yields its requests, run by
+:func:`impactpower.linalg._lockstep`: the golden sections of a time polish, one
+per bracket, and the starts of the CQ multistart, one per start, each get one
+stacked evaluation a round.
+
+``p_max_search`` scores its sampled axes by the time grid and golden-polishes
+only the axes that can be the first best: the impact of an axis has
+|I''| <= C = ||[H, rho]||^2 + 2 ||[H, [H, rho]]||, so its polish adds at most
+C step^2/2 to its grid maximum g, and an axis whose g + C step^2/2 stays
+below the largest g keeps g.  The first best axis and its value keep their
+bits; the descent polishes every candidate.
 """
 
 from __future__ import annotations
@@ -33,8 +46,13 @@ from .dynamics import LocalHamiltonian
 _TIME_TOL = 1e-12
 _ANGLE_STEP0 = 0.1
 _ANGLE_STEP_MIN = 1e-8
+#: sphere-descent rounds stacked after the current one, as they run if its moves are rejected
+_LOOKAHEAD = 2
 #: a descent move is accepted only if it lowers the objective by more than this
 _ACCEPT_MARGIN = 1e-18
+#: rounding allowance of the polish bound of p_max sampling, far above the
+#: ~1e-15 rounding of impacts, which are at most 2
+_POLISH_SLACK = 1e-9
 #: most matrices in one stacked evaluation; bounds the temporaries, not the result
 _CHUNK = 128
 #: phase rates -i E of the unit-gap qubit Hamiltonian, energies 0 and 1
@@ -161,12 +179,38 @@ def _sphere_descent(axis: np.ndarray, value: float) -> Generator[np.ndarray, np.
     """The step-halving descent on the sphere from ``axis`` as a coroutine.
 
     Yields stacks of axes and receives their values; returns (axis, value).
+    A round tries the four moves of :func:`_sphere_moves` in order, accepting
+    every improving one; a round with no move halves the step.  Each stack
+    holds the moves left in the current round, then the moves of the next
+    ``_LOOKAHEAD`` rounds as they run if every move before them is rejected:
+    from the same axis, at the same step after a round that moved and at
+    half the step otherwise, ending at ``_ANGLE_STEP_MIN``.  So the first
+    row below the value by more than the acceptance margin is the move that
+    trying them one at a time accepts next, and the descent resumes from it.
     """
-    step = _ANGLE_STEP0
+    step, first, improved = _ANGLE_STEP0, 0, False
     while step > _ANGLE_STEP_MIN:
-        axis, value, improved = yield from _improvement_steps(_sphere_moves(axis, step), axis, value, 4)
-        if not improved:
-            step *= 0.5
+        if first == 0:
+            moves = _sphere_moves(axis, step)
+        # (step, moves, first move) per stacked round, the current one first
+        rounds = [(step, moves, first)]
+        ahead = step if improved else 0.5 * step
+        while len(rounds) <= _LOOKAHEAD and ahead > _ANGLE_STEP_MIN:
+            rounds.append((ahead, _sphere_moves(axis, ahead), 0))
+            ahead *= 0.5
+        stack = np.concatenate([round_moves(axis, k) for _, round_moves, k in rounds])
+        values = (yield stack).tolist()
+        threshold = value - _ACCEPT_MARGIN
+        j = next((i for i, v in enumerate(values) if v < threshold), None)
+        if j is None:
+            # every stacked round ran without a move: the next one has step ``ahead``
+            step, first, improved = ahead, 0, False
+            continue
+        axis, value, improved = stack[j], values[j], True
+        step, moves, first = [(s, m, k + 1) for s, m, f in rounds for k in range(f, 4)][j]
+        if first == 4:
+            # the round is over and moved: the next one keeps its step
+            first, improved = 0, False
     return axis, value
 
 
@@ -175,6 +219,7 @@ def _axis_search(
     samples: int,
     seed: int | np.random.Generator | None,
     sign: float,
+    score: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> AxisSearch:
     """The axis minimizing ``sign * objective``: sign 1 minimizes, -1 maximizes.
 
@@ -182,14 +227,16 @@ def _axis_search(
     best of ``samples`` jittered Fibonacci-lattice axes, deterministic for a
     given seed, starts a derivative-free descent on the sphere that rotates
     towards tangent directions, halving the step angle from ``_ANGLE_STEP0``
-    down to ``_ANGLE_STEP_MIN``.
+    down to ``_ANGLE_STEP_MIN``.  ``score`` gives the sampled axes their
+    values, ``objective`` by default; it may give a worse value to an axis
+    that cannot be the first best.
     """
 
     def signed(axes: np.ndarray) -> np.ndarray:
         return sign * objective(axes)
 
     axes = fibonacci_sphere_axes(linalg._count(samples, "samples"), seed=seed, jitter=0.5)
-    values = _chunked(signed, axes)
+    values = _chunked(signed, axes) if score is None else sign * score(axes)
     best = int(np.argmin(values))
     descent = _sphere_descent(axes[best], float(values[best]))
     [(axis, value)] = linalg._lockstep([descent], lambda _, stacks: [signed(stacks[0])])
@@ -233,19 +280,15 @@ def _direct_impacts(mat: np.ndarray, embedded: np.ndarray, rates: np.ndarray, t:
     return 0.5 * linalg.hs_norm_sq(delta)
 
 
-def _grid_golden_max(
+def _grid_maxima(
     mat: np.ndarray, embedded: np.ndarray, rates: np.ndarray, span: float, grid_points: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per projector set in the ``(N, L, n, n)`` stack ``embedded``: the best
     direct impact (phase rates ``rates``) on the grid
-    span/grid_points * (1, ..., grid_points), then polished by golden section
-    over the neighbouring grid cells.
-
-    Returns (values, times), each of length N.
+    span/grid_points * (1, ..., grid_points), and its time.
     """
     n = len(embedded)
-    step = span / grid_points
-    times = np.arange(1, grid_points + 1) * step
+    times = np.arange(1, grid_points + 1) * (span / grid_points)
     block = max(1, _CHUNK // n)
     grid = np.concatenate(
         [
@@ -255,8 +298,25 @@ def _grid_golden_max(
         axis=1,
     )
     best = np.argmax(grid, axis=1)
-    best_val = grid[np.arange(n), best]
-    best_t = times[best]
+    return grid[np.arange(n), best], times[best]
+
+
+def _golden_polish(
+    mat: np.ndarray,
+    embedded: np.ndarray,
+    rates: np.ndarray,
+    span: float,
+    grid_points: int,
+    best_val: np.ndarray,
+    best_t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The grid maxima of :func:`_grid_maxima`, ``best_val`` at ``best_t``,
+    polished by golden section over the neighbouring grid cells.
+
+    Returns (values, times), each of length N.
+    """
+    n = len(embedded)
+    step = span / grid_points
     lo = np.maximum(best_t - step, step * 1e-9)
     hi = np.minimum(best_t + step, span)
 
@@ -285,7 +345,8 @@ def impact_power_grid(
         raise DegenerateHamiltonian("impact power grid search needs at least two distinct levels")
     grid_points = linalg._count(grid_points, "grid_points")
     embedded = linalg.tensor(h.projectors, np.eye(rho.d_b, dtype=complex))
-    value, t = _grid_golden_max(rho.mat, embedded[None], -1j * h.energies, h.period, grid_points)
+    problem = (rho.mat, embedded[None], -1j * h.energies, h.period, grid_points)
+    value, t = _golden_polish(*problem, *_grid_maxima(*problem))
     return GridMax(value=float(value[0]), t=float(t[0]))
 
 
@@ -303,13 +364,53 @@ def p_min_search(
     return _axis_search(partial(_dephasing_distances, rho), samples, seed, 1.0)
 
 
+def _unit_gap_embedded(rho: DensityMatrix, axes: np.ndarray) -> np.ndarray:
+    """(Pi_+, Pi_-) (x) 1_B along each axis, stacked on axis -3: the levels 0
+    and 1 of the unit-gap Hamiltonian H = Pi_- (x) 1_B."""
+    return linalg.tensor(np.stack(_qubit_projectors(axes), axis=-3), np.eye(rho.d_b, dtype=complex))
+
+
 def _qubit_impact_powers(rho: DensityMatrix, axes: np.ndarray, grid_points: int) -> np.ndarray:
     """Grid-and-golden impact power of the unit-gap Hamiltonian along each axis."""
-    projectors = np.stack(_qubit_projectors(axes), axis=-3)
-    embedded = linalg.tensor(projectors, np.eye(rho.d_b, dtype=complex))
     # energies 0 and 1: the slowest oscillation has period 2 pi
-    value, _ = _grid_golden_max(rho.mat, embedded, _UNIT_GAP_RATES, 2.0 * math.pi, grid_points)
-    return value
+    problem = (rho.mat, _unit_gap_embedded(rho, axes), _UNIT_GAP_RATES, 2.0 * math.pi, grid_points)
+    return _golden_polish(*problem, *_grid_maxima(*problem))[0]
+
+
+def _sampled_impact_powers(rho: DensityMatrix, axes: np.ndarray, grid_points: int) -> np.ndarray:
+    """:func:`_qubit_impact_powers` of each axis that can have the largest one,
+    the grid maximum g of every other axis.
+
+    I(t) = ||rho(t) - rho||^2/2 has |I''| <= C = ||[H, rho]||^2 + 2 ||[H, [H, rho]]||
+    (unitary invariance and ||rho(t) - rho|| <= 2), and I' = 0 at a maximum
+    inside a polish bracket, within one grid step of the grid point of g; an
+    end of a bracket is a grid point or the clip near t = 0, where I ~ 0.  So
+    the polish gives at most g + C step^2/2, and an axis for which that plus
+    ``_POLISH_SLACK`` stays below the largest g of all axes is not polished:
+    its g is below the largest polished value, so the first best axis and
+    its value are those of polishing every axis.
+    """
+    span = 2.0 * math.pi
+    step = span / grid_points
+
+    def grid(chunk: np.ndarray) -> np.ndarray:
+        # per axis [g, time of g, g + C step^2/2], C from the commutators of H, never from M
+        embedded = _unit_gap_embedded(rho, chunk)
+        g, t = _grid_maxima(rho.mat, embedded, _UNIT_GAP_RATES, span, grid_points)
+        h = embedded[:, 1]
+        comm = h @ rho.mat - rho.mat @ h
+        curvature = linalg.hs_norm_sq(comm) + 2.0 * np.sqrt(linalg.hs_norm_sq(h @ comm - comm @ h))
+        return np.column_stack([g, t, g + curvature * (0.5 * step * step)])
+
+    def polish(rows: np.ndarray) -> np.ndarray:
+        embedded = _unit_gap_embedded(rho, axes[rows])
+        return _golden_polish(rho.mat, embedded, _UNIT_GAP_RATES, span, grid_points, g[rows], t[rows])[0]
+
+    g, t, reach = _chunked(grid, axes).T
+    contenders = np.flatnonzero(reach + _POLISH_SLACK >= g.max())
+    values = g.copy()
+    values[contenders] = _chunked(polish, contenders)
+    return values
 
 
 def p_max_search(
@@ -327,8 +428,10 @@ def p_max_search(
     if rho.d_a != 2:
         raise DimensionMismatch(f"p_max_search requires d_A = 2, got {rho.d_a}")
 
-    objective = partial(_qubit_impact_powers, rho, grid_points=linalg._count(grid_points, "grid_points"))
-    return _axis_search(objective, samples, seed, -1.0)
+    grid_points = linalg._count(grid_points, "grid_points")
+    objective = partial(_qubit_impact_powers, rho, grid_points=grid_points)
+    score = partial(_sampled_impact_powers, rho, grid_points=grid_points)
+    return _axis_search(objective, samples, seed, -1.0, score)
 
 
 def unitary_expm_evolve(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> DensityMatrix:

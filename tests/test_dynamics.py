@@ -259,6 +259,11 @@ _TIME_ROUTES = {
         (route, t, OutOfRange, f"time {t!r} is not a real number")
         for route in ("evolve", "impact", "trace_impact", "expm_oracle")
         for t in ("1.0", True)
+    ]
+    + [
+        # a ragged time, once numpy's bare ValueError from evolve
+        (route, [[1.0], [2.0, 3.0]], OutOfRange, r"time \[\[1\.0\], \[2\.0, 3\.0\]\] is not a real number")
+        for route in ("evolve", "impact", "trace_impact", "expm_oracle")
     ],
 )
 def test_a_time_that_is_no_finite_float_is_out_of_range(route, t, error, message):

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from impactpower import correlations, dynamics, oracle, states
+from impactpower import correlations, dynamics, linalg, oracle, states
 from impactpower.linalg import PAULIS
 from impactpower.errors import DegenerateHamiltonian, DimensionMismatch, ImpactPowerError, OutOfRange
 
@@ -320,6 +320,135 @@ def test_stacked_refine_matches_sequential_loop(minimize):
         assert np.array_equal(found.axis, expected[1])
         assert not np.array_equal(found.axis, start)
 
+
+def _axis_reference_states():
+    return [
+        states.random_state((2, 2), seed=21),
+        states.random_state((2, 3), seed=22),
+        states.random_state((2, 2), rank=1, seed=23),
+    ]
+
+
+@pytest.mark.parametrize("kind", ["p_min", "p_max"])
+def test_look_ahead_descent_matches_sequential_loop_on_oracle_objectives(kind):
+    # the stacks hold the moves of the rounds after the current one as if every
+    # move were rejected; the one-at-a-time descent must still be reproduced bit
+    # for bit, the stacked objectives scoring each axis as it does alone
+    sign = 1.0 if kind == "p_min" else -1.0
+    for i, rho in enumerate(_axis_reference_states()):
+        if kind == "p_min":
+            objective = partial(oracle._dephasing_distances, rho)
+        else:
+            objective = partial(oracle._qubit_impact_powers, rho, grid_points=12)
+        stacks = []
+
+        def counted(axes):
+            stacks.append(len(axes))
+            return objective(axes)
+
+        found = oracle._axis_search(counted, 40, [7, i], sign)
+        axes = oracle.fibonacci_sphere_axes(40, seed=[7, i], jitter=0.5)
+        start = axes[int(np.argmin(sign * objective(axes)))]
+        tried = []
+
+        def one(axis):
+            tried.append(axis)
+            return objective(axis[None])[0]
+
+        value, axis = _sequential_refine_axis(one, start, minimize=kind == "p_min")
+        assert found.value == value
+        assert np.array_equal(found.axis, axis)
+        assert not np.array_equal(found.axis, start)
+        # a round tries at most four moves, so rounds >= tries / 4; without the
+        # look-ahead every round takes a stack of its own
+        descent = stacks[1:]
+        assert len(descent) < (len(tried) - 1) / 4
+        assert max(descent) > 4
+
+
+def _frozen_unpruned_impact_powers(rho, axes, grid_points):
+    """Reference: the p_max sample scores before pruning, grid and golden polish
+    on every axis; returns (scores, grid maxima)."""
+    mat = rho.mat
+    embedded = np.stack(
+        [np.kron(p, np.eye(rho.d_b)) for pair in zip(*oracle._qubit_projectors(axes)) for p in pair]
+    ).reshape(len(axes), 2, 2 * rho.d_b, 2 * rho.d_b)
+    rates = -1j * np.array([0.0, 1.0])
+    span = 2.0 * math.pi
+    n = len(embedded)
+    step = span / grid_points
+    times = np.arange(1, grid_points + 1) * step
+    block = max(1, oracle._CHUNK // n)
+    grid = np.concatenate(
+        [
+            oracle._direct_impacts(mat, embedded[:, None], rates, times[None, j : j + block])
+            for j in range(0, grid_points, block)
+        ],
+        axis=1,
+    )
+    best = np.argmax(grid, axis=1)
+    best_val = grid[np.arange(n), best]
+    best_t = times[best]
+    lo = np.maximum(best_t - step, step * 1e-9)
+    hi = np.minimum(best_t + step, span)
+
+    def polish(active, x):
+        return oracle._direct_impacts(mat, embedded[active], rates, np.array(x)).tolist()
+
+    searches = [linalg._golden_steps(a, b, 1e-12) for a, b in zip(lo.tolist(), hi.tolist())]
+    val = np.array(linalg._lockstep(searches, polish))[:, 0]
+    return np.where(val >= best_val, val, best_val), best_val
+
+
+def _curvature(rho, axis):
+    """||[H, rho]||^2 + 2 ||[H, [H, rho]]|| for the unit-gap H = Pi_- (x) 1_B along ``axis``."""
+    h = np.kron((np.eye(2) - sum(a * s for a, s in zip(axis, PAULIS))) / 2.0, np.eye(rho.d_b))
+    comm = h @ rho.mat - rho.mat @ h
+    return np.linalg.norm(comm) ** 2 + 2.0 * np.linalg.norm(h @ comm - comm @ h)
+
+
+@pytest.mark.parametrize("grid_points", [12, 13, 24])
+def test_pruned_sample_scores_keep_the_first_best_axis(grid_points):
+    step = 2.0 * math.pi / grid_points
+    for i, rho in enumerate(_axis_reference_states() + [states.random_state((2, 4), rank=2, seed=24)]):
+        axes = oracle.fibonacci_sphere_axes(300, seed=[8, i], jitter=0.5)
+        pruned = oracle._sampled_impact_powers(rho, axes, grid_points)
+        full, g = oracle._chunked(
+            lambda a: np.column_stack(_frozen_unpruned_impact_powers(rho, a, grid_points)), axes
+        ).T
+        best = int(np.argmax(full))
+        assert int(np.argmax(pruned)) == best
+        assert pruned[best] == full[best]
+        # the rule: polish each axis whose g + C step^2/2 reaches the largest g,
+        # keep g for every other; borderline axes within 1e-6 are left out
+        reach = g + np.array([_curvature(rho, axis) for axis in axes]) * step * step / 2.0
+        polished, kept = reach > g.max() + 1e-6, reach < g.max() - 1e-6
+        assert np.array_equal(pruned[polished], full[polished])
+        assert np.array_equal(pruned[kept], g[kept])
+        assert kept.any()
+
+
+@pytest.mark.parametrize("grid_points", [7, 12, 13, 24])
+def test_polish_bound_holds_on_dense_brackets(grid_points):
+    # I'' <= C = ||[H, rho]||^2 + 2 ||[H, [H, rho]]||, so no point of a polish
+    # bracket, which lies within one grid step of the grid maximum g, exceeds
+    # g + C step^2/2
+    span = 2.0 * math.pi
+    step = span / grid_points
+    gained = 0.0
+    for i, rho in enumerate(_axis_reference_states()):
+        axes = oracle.fibonacci_sphere_axes(30, seed=[9, i], jitter=0.5)
+        embedded = oracle._unit_gap_embedded(rho, axes)
+        g, t = oracle._grid_maxima(rho.mat, embedded, oracle._UNIT_GAP_RATES, span, grid_points)
+        for axis, g_axis, t_axis in zip(axes, g.tolist(), t.tolist()):
+            bracket = np.linspace(max(t_axis - step, step * 1e-9), min(t_axis + step, span), 2001)
+            dense = dynamics.impact(rho, dynamics.LocalHamiltonian.from_bloch_axis(axis, 1.0), bracket)
+            assert dense.max() <= g_axis + _curvature(rho, axis) * step * step / 2.0 + 1e-12
+            gained = max(gained, dense.max() - g_axis)
+    # an odd grid misses t = pi, where a unit-gap impact a - b cos t peaks, so
+    # there the polish gains more than rounding
+    if grid_points % 2:
+        assert gained > 1e-6
 
 
 def _sequential_first_improvement(objective, candidates, point, value, count):
