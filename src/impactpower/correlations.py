@@ -234,7 +234,7 @@ def measurement_min_discord(
     for d_A = 2 it reproduces the closed form.
     """
     starts = linalg._count(starts, "starts")
-    rng = np.random.default_rng(seed)
+    rng = linalg._seed(seed)
     d_a = rho.d_a
     rho4 = rho.mat.reshape(d_a, rho.d_b, d_a, rho.d_b)
     draws = linalg._haar_stack(d_a, starts - 1, rng)

@@ -95,7 +95,7 @@ class LocalHamiltonian:
     projectors: np.ndarray
 
     def __post_init__(self) -> None:
-        energies = np.array(self.energies, dtype=float).reshape(-1)
+        energies = linalg._floats(self.energies, "energies").reshape(-1)
         count = len(self.projectors)
         if energies.size != count or count == 0:
             raise DimensionMismatch(
@@ -359,7 +359,8 @@ def impact_power_result(rho: DensityMatrix, h: LocalHamiltonian) -> ImpactPowerR
     lo = max(t_grid - step, step * 1e-6)
     hi = min(t_grid + step, span)
     [(value, t_best)] = linalg._lockstep(
-        [linalg._golden_steps(lo, hi, TIME_REFINE_TOL)], lambda _, ts: profile(np.array(ts)).tolist()
+        [linalg._golden_steps(lo, hi, TIME_REFINE_TOL)],
+        lambda _, steps: profile(np.array([x for x, _ in steps])).tolist(),
     )
     value = max(value, best_value)
     if value == best_value:

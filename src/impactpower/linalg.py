@@ -144,29 +144,34 @@ def _checked_hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + a_dag) / 2.0
 
 
-def _golden_steps(lo: float, hi: float, tol: float) -> Generator[float, float, tuple[float, float]]:
+def _golden_steps(
+    lo: float, hi: float, tol: float
+) -> Generator[tuple[float, float], float, tuple[float, float]]:
     """Golden-section maximization on [lo, hi] as a coroutine.
 
-    Yields each abscissa and receives the objective value there; returns
-    (best value, its abscissa) once the bracket is no wider than ``tol``, or
-    once a round leaves it no narrower, as where the float spacing of the
-    abscissae exceeds ``tol`` (past t ~ 8192 for a tolerance of 1e-12).
+    Yields each abscissa with the width of the current bracket, which holds
+    that abscissa, every later one and the one returned, and receives the
+    objective value there.  Returns (best value, its abscissa) once the
+    bracket is no wider than ``tol``, or once a round leaves it no narrower,
+    as where the float spacing of the abscissae exceeds ``tol`` (past
+    t ~ 8192 for a tolerance of 1e-12).  The value returned is the largest
+    one received.
     """
     a, b = lo, hi
     x1 = b - _INV_PHI * (b - a)
     x2 = a + _INV_PHI * (b - a)
-    f1 = yield x1
-    f2 = yield x2
+    f1 = yield x1, b - a
+    f2 = yield x2, b - a
     while b - a > tol:
         width = b - a
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_PHI * (b - a)
-            f2 = yield x2
+            f2 = yield x2, b - a
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_PHI * (b - a)
-            f1 = yield x1
+            f1 = yield x1, b - a
         if b - a >= width:
             break
     return (f1, x1) if f1 >= f2 else (f2, x2)
@@ -252,11 +257,11 @@ def _dims(dims) -> tuple[int, int]:
     )
 
 
-def _real(value, name: str, low: float = -math.inf, high: float = math.inf):
-    """The real parameter ``name`` as a float, or a float array for array input.
+def _floats(value, name: str) -> np.ndarray:
+    """The real parameter ``name`` as a float array, NaN and inf kept.
 
-    OutOfRange naming it unless every entry is a finite int or float (numpy
-    numbers pass) within [low, high]: for "0.3", True, NaN, inf, 10**400.
+    OutOfRange naming it unless every entry is an int or float (numpy numbers
+    pass) that fits a float: for "0.3", True, None, 10**400.
     """
     # entry by entry unless a numeric array: numpy reads [0.5, True] as [0.5, 1.0]
     if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf") and not all(
@@ -265,14 +270,38 @@ def _real(value, name: str, low: float = -math.inf, high: float = math.inf):
     ):
         raise OutOfRange(f"{name} {reprlib.repr(value)} is not a real number")
     try:
-        array = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except OverflowError:
         raise OutOfRange(f"{name} {reprlib.repr(value)} does not fit a float") from None
+
+
+def _real(value, name: str, low: float = -math.inf, high: float = math.inf):
+    """The real parameter ``name`` as a float, or a float array for array input.
+
+    OutOfRange naming it unless every entry is a finite int or float (numpy
+    numbers pass) within [low, high]: for "0.3", True, NaN, inf, 10**400.
+    """
+    array = _floats(value, name)
     if not np.isfinite(array).all():
         raise OutOfRange(f"{name} {reprlib.repr(array.tolist())} is non-finite (NaN or inf)")
     if not ((low <= array) & (array <= high)).all():
         raise OutOfRange(f"{name} {reprlib.repr(array.tolist())} outside [{low:g}, {high:g}]")
     return float(array) if array.ndim == 0 else array
+
+
+def _seed(value) -> np.random.Generator:
+    """``numpy.random.default_rng(value)``: None, a whole number >= 0, a sequence
+    of them, a ``SeedSequence``, a bit generator or a ``Generator`` (returned as is).
+
+    OutOfRange naming ``seed`` for "x", 1.5, NaN, -1, [1, -1] and the like.
+    """
+    try:
+        return np.random.default_rng(value)
+    except (TypeError, ValueError):
+        raise OutOfRange(
+            f"seed: expected None, a whole number >= 0, a sequence of them or a numpy "
+            f"random generator, got {reprlib.repr(value)}"
+        ) from None
 
 
 def _json_int(value, field: str) -> int:

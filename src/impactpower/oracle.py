@@ -16,18 +16,24 @@ its stack and re-stacks the remaining moves from there.  The sphere descent of
 round, the moves of the next ``_LOOKAHEAD`` rounds as they run if every move
 before them is rejected.  Those rows are exactly the candidates that trying
 one at a time reaches while it rejects, so the first improving row is still
-the next move it accepts, and fewer stacks run one after another.  Every search
-is a coroutine that yields its requests, run by
-:func:`impactpower.linalg._lockstep`: the golden sections of a time polish, one
-per bracket, and the starts of the CQ multistart, one per start, each get one
-stacked evaluation a round.
+the next move it accepts, and fewer stacks run one after another.  The CQ
+multistart is a coroutine per start, run by :func:`impactpower.linalg._lockstep`,
+and each round of it gets one stacked evaluation.
 
-``p_max_search`` scores its sampled axes by the time grid and golden-polishes
-only the axes that can be the first best: the impact of an axis has
-|I''| <= C = ||[H, rho]||^2 + 2 ||[H, [H, rho]]||, so its polish adds at most
-C step^2/2 to its grid maximum g, and an axis whose g + C step^2/2 stays
-below the largest g keeps g.  The first best axis and its value keep their
-bits; the descent polishes every candidate.
+A time polish golden-sections the two grid cells around a grid maximum, and
+:class:`_Polishes` steps the polishes of many axes together, one stacked
+evaluation a step.  The impact of an axis has
+|I''| <= C = ||[H, rho]||^2 + 2 ||[H, [H, rho]]||, so while a polish brackets
+its maximum by a width w, with m the largest value found so far, it ends in
+[m, m + C w^2/8]: every point of the bracket lies within w/2 of an end whose
+value is at most m, and I' = 0 at an inner maximum.  ``p_max_search`` decides
+each comparison of polished values as soon as these brackets make it certain.
+A sampled axis stops once it cannot reach the largest m of all axes, and a
+descent row once its comparison with the current value is certain, so only
+the rows that decide a stack are polished to the end.  The descent needs the
+accepted axis but not its value, so its next stack starts at once and is
+compared against the accepted row's bracket, whose polish shares each stacked
+evaluation with the new rows.  Every value and axis keeps its bits.
 """
 
 from __future__ import annotations
@@ -50,9 +56,10 @@ _ANGLE_STEP_MIN = 1e-8
 _LOOKAHEAD = 2
 #: a descent move is accepted only if it lowers the objective by more than this
 _ACCEPT_MARGIN = 1e-18
-#: rounding allowance of the polish bound of p_max sampling, far above the
-#: ~1e-15 rounding of impacts, which are at most 2
-_POLISH_SLACK = 1e-9
+#: rounding allowance of the polish bound of p_max: impacts are at most 2, a
+#: priori bounds put their float error near 1e-14, and 16,000 seeded polishes
+#: overshot the bound without it by at most 4.4e-16
+_POLISH_SLACK = 1e-12
 #: most matrices in one stacked evaluation; bounds the temporaries, not the result
 _CHUNK = 128
 #: phase rates -i E of the unit-gap qubit Hamiltonian, energies 0 and 1
@@ -97,7 +104,7 @@ def fibonacci_sphere_axes(
     phi = math.pi * (3.0 - math.sqrt(5.0)) * i
     axes = np.column_stack([radius * np.cos(phi), radius * np.sin(phi), z])
     if spread > 0.0:
-        rng = np.random.default_rng(seed)
+        rng = linalg._seed(seed)
         spacing = math.sqrt(4.0 * math.pi / n)
         axes = axes + spread * spacing * rng.standard_normal(axes.shape)
         axes /= np.linalg.norm(axes, axis=1)[:, None]
@@ -121,15 +128,16 @@ def _tangent_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, _cross(a, t1.tolist())
 
 
-def _chunked(kernel: Callable[[np.ndarray], np.ndarray], items: np.ndarray) -> np.ndarray:
-    """kernel over ``_CHUNK``-row slices of ``items``, concatenated.
+def _chunked(kernel: Callable[..., np.ndarray], *items: np.ndarray) -> np.ndarray:
+    """kernel over ``_CHUNK``-row slices of the arrays ``items``, concatenated.
 
     Every kernel computes each row independently of the others, so the split
     changes memory use only, never a value.
     """
-    if len(items) <= _CHUNK:
-        return kernel(items)
-    return np.concatenate([kernel(items[i : i + _CHUNK]) for i in range(0, len(items), _CHUNK)])
+    n = len(items[0])
+    if n <= _CHUNK:
+        return kernel(*items)
+    return np.concatenate([kernel(*(a[i : i + _CHUNK] for a in items)) for i in range(0, n, _CHUNK)])
 
 
 def _improvement_steps(
@@ -175,18 +183,19 @@ def _sphere_moves(axis: np.ndarray, step: float) -> Callable[[np.ndarray, int], 
     return candidates
 
 
-def _sphere_descent(axis: np.ndarray, value: float) -> Generator[np.ndarray, np.ndarray, tuple]:
-    """The step-halving descent on the sphere from ``axis`` as a coroutine.
+def _sphere_descent(axis: np.ndarray, first_accepted: Callable[[np.ndarray], int | None]) -> np.ndarray:
+    """The step-halving descent on the sphere from ``axis``; returns its last axis.
 
-    Yields stacks of axes and receives their values; returns (axis, value).
-    A round tries the four moves of :func:`_sphere_moves` in order, accepting
-    every improving one; a round with no move halves the step.  Each stack
-    holds the moves left in the current round, then the moves of the next
+    ``first_accepted(stack)`` gives the index of the first row of a stack of
+    axes that improves on the value of the current axis, or None.  A round
+    tries the four moves of :func:`_sphere_moves` in order, accepting every
+    improving one; a round with no move halves the step.  Each stack holds
+    the moves left in the current round, then the moves of the next
     ``_LOOKAHEAD`` rounds as they run if every move before them is rejected:
     from the same axis, at the same step after a round that moved and at
     half the step otherwise, ending at ``_ANGLE_STEP_MIN``.  So the first
-    row below the value by more than the acceptance margin is the move that
-    trying them one at a time accepts next, and the descent resumes from it.
+    improving row is the move that trying them one at a time accepts next,
+    and the descent resumes from it.
     """
     step, first, improved = _ANGLE_STEP0, 0, False
     while step > _ANGLE_STEP_MIN:
@@ -199,19 +208,17 @@ def _sphere_descent(axis: np.ndarray, value: float) -> Generator[np.ndarray, np.
             rounds.append((ahead, _sphere_moves(axis, ahead), 0))
             ahead *= 0.5
         stack = np.concatenate([round_moves(axis, k) for _, round_moves, k in rounds])
-        values = (yield stack).tolist()
-        threshold = value - _ACCEPT_MARGIN
-        j = next((i for i, v in enumerate(values) if v < threshold), None)
+        j = first_accepted(stack)
         if j is None:
             # every stacked round ran without a move: the next one has step ``ahead``
             step, first, improved = ahead, 0, False
             continue
-        axis, value, improved = stack[j], values[j], True
+        axis, improved = stack[j], True
         step, moves, first = [(s, m, k + 1) for s, m, f in rounds for k in range(f, 4)][j]
         if first == 4:
             # the round is over and moved: the next one keeps its step
             first, improved = 0, False
-    return axis, value
+    return axis
 
 
 def _axis_search(
@@ -219,7 +226,6 @@ def _axis_search(
     samples: int,
     seed: int | np.random.Generator | None,
     sign: float,
-    score: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> AxisSearch:
     """The axis minimizing ``sign * objective``: sign 1 minimizes, -1 maximizes.
 
@@ -227,19 +233,28 @@ def _axis_search(
     best of ``samples`` jittered Fibonacci-lattice axes, deterministic for a
     given seed, starts a derivative-free descent on the sphere that rotates
     towards tangent directions, halving the step angle from ``_ANGLE_STEP0``
-    down to ``_ANGLE_STEP_MIN``.  ``score`` gives the sampled axes their
-    values, ``objective`` by default; it may give a worse value to an axis
-    that cannot be the first best.
+    down to ``_ANGLE_STEP_MIN``.  A row is accepted when it lowers the value
+    by more than the acceptance margin.
     """
 
     def signed(axes: np.ndarray) -> np.ndarray:
         return sign * objective(axes)
 
     axes = fibonacci_sphere_axes(linalg._count(samples, "samples"), seed=seed, jitter=0.5)
-    values = _chunked(signed, axes) if score is None else sign * score(axes)
+    values = _chunked(signed, axes)
     best = int(np.argmin(values))
-    descent = _sphere_descent(axes[best], float(values[best]))
-    [(axis, value)] = linalg._lockstep([descent], lambda _, stacks: [signed(stacks[0])])
+    value = float(values[best])
+
+    def first_accepted(stack: np.ndarray) -> int | None:
+        nonlocal value
+        stacked = signed(stack).tolist()
+        threshold = value - _ACCEPT_MARGIN
+        j = next((i for i, v in enumerate(stacked) if v < threshold), None)
+        if j is not None:
+            value = stacked[j]
+        return j
+
+    axis = _sphere_descent(axes[best], first_accepted)
     return AxisSearch(value=sign * value, axis=axis)
 
 
@@ -301,34 +316,96 @@ def _grid_maxima(
     return grid[np.arange(n), best], times[best]
 
 
-def _golden_polish(
-    mat: np.ndarray,
-    embedded: np.ndarray,
-    rates: np.ndarray,
-    span: float,
-    grid_points: int,
-    best_val: np.ndarray,
-    best_t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The grid maxima of :func:`_grid_maxima`, ``best_val`` at ``best_t``,
-    polished by golden section over the neighbouring grid cells.
+def _reach(value, curvature, width):
+    """The most a polish can end with: m + C w^2/8 plus ``_POLISH_SLACK``, for the
+    largest value m found so far, the curvature bound C of the impact and the
+    width w of the bracket (floats or arrays).
 
-    Returns (values, times), each of length N.
+    Every point of the bracket lies within w/2 of an end, an end has a value
+    of at most m, and at an inner maximum I' = 0, so |I''| <= C bounds the
+    rise from the nearer end by C (w/2)^2/2.
     """
-    n = len(embedded)
-    step = span / grid_points
-    lo = np.maximum(best_t - step, step * 1e-9)
-    hi = np.minimum(best_t + step, span)
+    return value + curvature * (0.125 * width * width) + _POLISH_SLACK
 
-    def polish(active: list[int], x: list[float]) -> list[float]:
-        # while every bracket is live, the whole stack is the active one
-        stack = embedded if len(active) == n else embedded[active]
-        return _direct_impacts(mat, stack, rates, np.array(x)).tolist()
 
-    searches = [linalg._golden_steps(a, b, _TIME_TOL) for a, b in zip(lo.tolist(), hi.tolist())]
-    val, t = np.array(linalg._lockstep(searches, polish)).T
-    polished = val >= best_val
-    return np.where(polished, val, best_val), np.where(polished, t, best_t)
+class _Polishes:
+    """The golden polish of each grid maximum of :func:`_grid_maxima`, stepped on request.
+
+    ``g`` and ``t`` are the grid maxima of the ``(N, L, n, n)`` stack
+    ``embedded`` and their times; row i golden-sections the two grid cells
+    around t_i, and :func:`_polish_step` advances rows by one abscissa each.
+    ``low[i]`` is the largest value of row i so far, g_i included; once
+    ``requests[i]`` is None the polish is over and ``low[i]`` and ``t[i]``
+    are its result: the golden maximum if it reaches g_i, else g_i at t_i.
+    ``curvature``, the bound C of each row's impact, gives :meth:`high`.
+    """
+
+    def __init__(
+        self,
+        mat: np.ndarray,
+        embedded: np.ndarray,
+        rates: np.ndarray,
+        span: float,
+        grid_points: int,
+        g: np.ndarray,
+        t: np.ndarray,
+        curvature: np.ndarray | None = None,
+    ) -> None:
+        step = span / grid_points
+        lo = np.maximum(t - step, step * 1e-9)
+        hi = np.minimum(t + step, span)
+        self.mat, self.embedded, self.rates = mat, embedded, rates
+        self.curvature = None if curvature is None else curvature.tolist()
+        self.grid, self.low, self.t = g.tolist(), g.tolist(), t.tolist()
+        self.searches = [linalg._golden_steps(a, b, _TIME_TOL) for a, b in zip(lo.tolist(), hi.tolist())]
+        #: per row the pending (abscissa, bracket width), None once polished
+        self.requests = [next(search) for search in self.searches]
+        self._gathered = (None, None)
+
+    def gathered(self, rows: list[int]) -> np.ndarray:
+        """``embedded[rows]``, gathered again only when the rows change: they
+        mostly step together round after round."""
+        if self._gathered[0] != rows:
+            self._gathered = (rows, self.embedded[rows])
+        return self._gathered[1]
+
+    def high(self, i: int) -> float:
+        """The most row i can end with, :func:`_reach` until it is polished."""
+        request = self.requests[i]
+        return self.low[i] if request is None else _reach(self.low[i], self.curvature[i], request[1])
+
+    def send(self, i: int, value: float) -> None:
+        if value > self.low[i]:
+            self.low[i] = value
+        try:
+            self.requests[i] = self.searches[i].send(value)
+        except StopIteration as done:
+            self.requests[i] = None
+            polished, t = done.value
+            if polished >= self.grid[i]:
+                self.t[i] = t
+
+    def finish(self, rows) -> None:
+        """Polish ``rows`` to the end."""
+        while any(self.requests[i] is not None for i in rows):
+            _polish_step([(self, rows)])
+
+
+def _polish_step(parts: list[tuple[_Polishes, list[int]]]) -> None:
+    """One golden step of each listed row still polishing, from one stacked evaluation.
+
+    ``parts`` pairs polishes that share their state and phase rates with
+    lists of their rows.
+    """
+    parts = [(p, live) for p, rows in parts if (live := [i for i in rows if p.requests[i] is not None])]
+    polish = parts[0][0]
+    stacks = [p.gathered(rows) for p, rows in parts]
+    embedded = stacks[0] if len(stacks) == 1 else np.concatenate(stacks)
+    times = np.array([p.requests[i][0] for p, rows in parts for i in rows])
+    values = iter(_chunked(lambda e, t: _direct_impacts(polish.mat, e, polish.rates, t), embedded, times).tolist())
+    for p, rows in parts:
+        for i in rows:
+            p.send(i, next(values))
 
 
 def impact_power_grid(
@@ -346,8 +423,9 @@ def impact_power_grid(
     grid_points = linalg._count(grid_points, "grid_points")
     embedded = linalg.tensor(h.projectors, np.eye(rho.d_b, dtype=complex))
     problem = (rho.mat, embedded[None], -1j * h.energies, h.period, grid_points)
-    value, t = _golden_polish(*problem, *_grid_maxima(*problem))
-    return GridMax(value=float(value[0]), t=float(t[0]))
+    polish = _Polishes(*problem, *_grid_maxima(*problem))
+    polish.finish([0])
+    return GridMax(value=polish.low[0], t=polish.t[0])
 
 
 def p_min_search(
@@ -370,47 +448,126 @@ def _unit_gap_embedded(rho: DensityMatrix, axes: np.ndarray) -> np.ndarray:
     return linalg.tensor(np.stack(_qubit_projectors(axes), axis=-3), np.eye(rho.d_b, dtype=complex))
 
 
-def _qubit_impact_powers(rho: DensityMatrix, axes: np.ndarray, grid_points: int) -> np.ndarray:
-    """Grid-and-golden impact power of the unit-gap Hamiltonian along each axis."""
-    # energies 0 and 1: the slowest oscillation has period 2 pi
-    problem = (rho.mat, _unit_gap_embedded(rho, axes), _UNIT_GAP_RATES, 2.0 * math.pi, grid_points)
-    return _golden_polish(*problem, *_grid_maxima(*problem))[0]
+def _curvatures(mat: np.ndarray, embedded: np.ndarray) -> np.ndarray:
+    """C = ||[H, rho]||^2 + 2 ||[H, [H, rho]]|| for the unit-gap H = Pi_- (x) 1_B
+    of each row of :func:`_unit_gap_embedded`: |I''| <= C for its impact.
+
+    I'' = ||[H, rho]||^2 - Re Tr[(rho(t) - rho) [H, [H, rho(t)]]], and
+    ||rho(t) - rho|| <= 2 with unitary invariance bounds the second term.
+    The commutators are those of the direct route, never the M matrix.
+    """
+    h = embedded[:, 1]
+    comm = h @ mat - mat @ h
+    return linalg.hs_norm_sq(comm) + 2.0 * np.sqrt(linalg.hs_norm_sq(h @ comm - comm @ h))
+
+
+def _unit_gap_polishes(rho: DensityMatrix, axes: np.ndarray, grid_points: int) -> _Polishes:
+    """:class:`_Polishes` of the unit-gap impact along each axis, over its period 2 pi."""
+    embedded = _unit_gap_embedded(rho, axes)
+    problem = (rho.mat, embedded, _UNIT_GAP_RATES, 2.0 * math.pi, grid_points)
+    return _Polishes(*problem, *_grid_maxima(*problem), _curvatures(rho.mat, embedded))
 
 
 def _sampled_impact_powers(rho: DensityMatrix, axes: np.ndarray, grid_points: int) -> np.ndarray:
-    """:func:`_qubit_impact_powers` of each axis that can have the largest one,
-    the grid maximum g of every other axis.
+    """The grid-and-golden impact power of the unit-gap Hamiltonian along each
+    axis that can have the largest one; a lower bound of it, below that
+    largest value, along every other axis.
 
-    I(t) = ||rho(t) - rho||^2/2 has |I''| <= C = ||[H, rho]||^2 + 2 ||[H, [H, rho]]||
-    (unitary invariance and ||rho(t) - rho|| <= 2), and I' = 0 at a maximum
-    inside a polish bracket, within one grid step of the grid point of g; an
-    end of a bracket is a grid point or the clip near t = 0, where I ~ 0.  So
-    the polish gives at most g + C step^2/2, and an axis for which that plus
-    ``_POLISH_SLACK`` stays below the largest g of all axes is not polished:
-    its g is below the largest polished value, so the first best axis and
-    its value are those of polishing every axis.
+    The polishes run together, ``_CHUNK`` axes at a time, and an axis stops
+    as soon as the :func:`_reach` of its polish falls below the largest value
+    m of all axes so far: before the first step, for an axis whose grid
+    maximum g lies below the largest g by more than C step^2/2 and the
+    slack.  Every value is at most the axis's polished value, and every axis
+    that stops ends below the largest polished value, so the first best axis
+    and its value are those of polishing every axis.
     """
     span = 2.0 * math.pi
-    step = span / grid_points
 
     def grid(chunk: np.ndarray) -> np.ndarray:
-        # per axis [g, time of g, g + C step^2/2], C from the commutators of H, never from M
+        # per axis [g, time of g, C]
         embedded = _unit_gap_embedded(rho, chunk)
         g, t = _grid_maxima(rho.mat, embedded, _UNIT_GAP_RATES, span, grid_points)
-        h = embedded[:, 1]
-        comm = h @ rho.mat - rho.mat @ h
-        curvature = linalg.hs_norm_sq(comm) + 2.0 * np.sqrt(linalg.hs_norm_sq(h @ comm - comm @ h))
-        return np.column_stack([g, t, g + curvature * (0.5 * step * step)])
+        return np.column_stack([g, t, _curvatures(rho.mat, embedded)])
 
-    def polish(rows: np.ndarray) -> np.ndarray:
-        embedded = _unit_gap_embedded(rho, axes[rows])
-        return _golden_polish(rho.mat, embedded, _UNIT_GAP_RATES, span, grid_points, g[rows], t[rows])[0]
+    def polished(chunk: np.ndarray) -> np.ndarray:
+        # the contenders in ``chunk`` polished together, each while it can reach ``best``
+        nonlocal best
+        embedded = _unit_gap_embedded(rho, axes[chunk])
+        polish = _Polishes(rho.mat, embedded, _UNIT_GAP_RATES, span, grid_points, g[chunk], t[chunk], curvature[chunk])
+        rows = range(len(chunk))
+        while rows := [i for i in rows if polish.requests[i] is not None and polish.high(i) >= best]:
+            _polish_step([(polish, rows)])
+            best = max(best, *(polish.low[i] for i in rows))
+        return np.array(polish.low)
 
-    g, t, reach = _chunked(grid, axes).T
-    contenders = np.flatnonzero(reach + _POLISH_SLACK >= g.max())
+    g, t, curvature = _chunked(grid, axes).T
+    best = g.max()
+    # a bracket is at most two grid steps wide
+    contenders = np.flatnonzero(_reach(g, curvature, 2.0 * span / grid_points) >= best)
     values = g.copy()
-    values[contenders] = _chunked(polish, contenders)
+    values[contenders] = _chunked(polished, contenders)
     return values
+
+
+class _PmaxAcceptance:
+    """The acceptance test of the ``p_max_search`` descent, decided on polishes in progress.
+
+    Called on a stack, it returns the first row whose polished impact power
+    exceeds the current value, the value of the last accepted axis, as
+    :func:`_axis_search` would, or None.  Each row is compared by its bracket
+    [``low``, ``high``] against the bracket of the current value.  A row
+    stops once it is certainly rejected, and so does every row after a
+    certain accept; the stack is decided once the first row left is a
+    certain accept, or no row is left.  The accepted row's polish goes on
+    while the next stacks are compared against it, in the same stacked
+    evaluations as their own rows.
+    """
+
+    def __init__(self, rho: DensityMatrix, grid_points: int, value: float) -> None:
+        self.rho, self.grid_points = rho, grid_points
+        #: the current value: exact, or the polish and row of the last accepted axis
+        self.value, self.held = value, None
+
+    def bounds(self) -> tuple[float, float]:
+        if self.held is None:
+            return self.value, self.value
+        polish, i = self.held
+        return polish.low[i], polish.high(i)
+
+    def __call__(self, stack: np.ndarray) -> int | None:
+        polish = _unit_gap_polishes(self.rho, stack, self.grid_points)
+        rows = range(len(stack))
+        while True:
+            low, high = self.bounds()
+            # the descent minimizes -P and accepts -P_j < -value - margin: the
+            # loosest threshold is at the lowest value, the strictest at the
+            # highest.  A certain outcome stays certain, so a rejected row and
+            # the rows after a certain accept leave for good.
+            loosest, strictest = -low - _ACCEPT_MARGIN, -high - _ACCEPT_MARGIN
+            left, accepted = [], False
+            for i in rows:
+                if -polish.high(i) < loosest:
+                    left.append(i)
+                    if -polish.low[i] < strictest:
+                        accepted = True
+                        break
+            rows = left
+            if not rows:
+                return None
+            if accepted and len(rows) == 1:
+                self.held = (polish, rows[0])
+                return rows[0]
+            # some row is still unpolished, or the outcome would be certain
+            held = [] if self.held is None else [(self.held[0], [self.held[1]])]
+            _polish_step([(polish, rows), *held])
+
+    def final(self) -> float:
+        """The current value, its polish finished."""
+        if self.held is None:
+            return self.value
+        polish, i = self.held
+        polish.finish([i])
+        return polish.low[i]
 
 
 def p_max_search(
@@ -424,14 +581,19 @@ def p_max_search(
     For every axis the impact power of the unit-gap Hamiltonian along it is
     recomputed by the time-grid search of :func:`impact_power_grid`, so the
     only shared machinery with the closed form is the linear-algebra kernel.
+    The first best of ``samples`` jittered Fibonacci-lattice axes starts the
+    descent of :func:`_axis_search`, with the same accepted moves and values.
     """
     if rho.d_a != 2:
         raise DimensionMismatch(f"p_max_search requires d_A = 2, got {rho.d_a}")
 
     grid_points = linalg._count(grid_points, "grid_points")
-    objective = partial(_qubit_impact_powers, rho, grid_points=grid_points)
-    score = partial(_sampled_impact_powers, rho, grid_points=grid_points)
-    return _axis_search(objective, samples, seed, -1.0, score)
+    axes = fibonacci_sphere_axes(linalg._count(samples, "samples"), seed=seed, jitter=0.5)
+    values = _sampled_impact_powers(rho, axes, grid_points)
+    best = int(np.argmax(values))
+    accept = _PmaxAcceptance(rho, grid_points, float(values[best]))
+    axis = _sphere_descent(axes[best], accept)
+    return AxisSearch(value=accept.final(), axis=axis)
 
 
 def unitary_expm_evolve(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> DensityMatrix:
@@ -598,7 +760,7 @@ def discord_cq_search(
     if rho.dims != (2, 2):
         raise DimensionMismatch(f"discord_cq_search requires dims (2, 2), got {rho.dims}")
     samples = linalg._count(samples, "samples")
-    rng = np.random.default_rng(seed)
+    rng = linalg._seed(seed)
     lattice_starts = max(samples // 2, 1)
     # one draw for the random starts, each row normalized on its own: the
     # stream and the bits of one standard_normal(3) call per start

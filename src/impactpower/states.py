@@ -284,7 +284,7 @@ def random_states(
     # per seed one draw of the real parts, then the imaginary parts
     x = np.empty((len(seeds), 2, dim, rank))
     for k, seed in enumerate(seeds):
-        np.random.default_rng(seed).standard_normal(out=x[k])
+        linalg._seed(seed).standard_normal(out=x[k])
     g = x[:, 0] + 1j * x[:, 1]
     mats = g @ g.conj().swapaxes(-1, -2)
     mats /= _traces(mats)[:, None, None]
@@ -419,7 +419,7 @@ def random_cq_spec(
     n_blocks = d_a if n_blocks is None else linalg._count(n_blocks, "block count")
     if n_blocks > d_a:
         raise OutOfRange(f"block count {n_blocks} outside [1, {d_a}]")
-    rng = np.random.default_rng(seed)
+    rng = linalg._seed(seed)
     basis = linalg.haar_unitary(d_a, rng)[:, :n_blocks]
     probs = rng.dirichlet(np.ones(n_blocks))
     blocks = tuple(random_state((d_b, 1), seed=rng).mat for _ in range(n_blocks))

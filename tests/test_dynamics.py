@@ -30,6 +30,22 @@ def random_qubit_hamiltonian(rng, gap_range=(0.5, 3.0)):
     return dynamics.LocalHamiltonian.from_bloch_axis(axis, float(rng.uniform(*gap_range)))
 
 
+@pytest.mark.parametrize(
+    "energies, problem",
+    [
+        (["a", "b"], "is not a real number"),
+        (["0", "1"], "is not a real number"),
+        ([True, False], "is not a real number"),
+        ([0.0, None], "is not a real number"),
+        ([10**400, 0], "does not fit a float"),
+    ],
+)
+def test_energies_that_are_no_real_numbers_are_out_of_range(energies, problem):
+    # a bare ValueError or OverflowError, or strings and booleans read as levels
+    with pytest.raises(OutOfRange, match=f"^energies .*{problem}$"):
+        dynamics.LocalHamiltonian(energies, DIAG_QUBIT.projectors)
+
+
 def test_hamiltonian_validation():
     with pytest.raises(InvalidHamiltonian):
         dynamics.LocalHamiltonian(
@@ -629,13 +645,16 @@ def test_lockstep_golden_sections_match_each_bracket_alone():
     peaks = lo + np.array([0.3, 0.7, 0.1, 0.45, 0.9, 0.6]) * (hi - lo)
     tol = dynamics.TIME_REFINE_TOL
     rounds = []
+    widths = [[] for _ in lo]
 
     def stacked(indices, ts):
         return (np.cos(np.array(ts) - peaks[indices]) - 1.0).tolist()
 
-    def answer(indices, ts):
+    def answer(indices, steps):
         rounds.append(indices)
-        return stacked(indices, ts)
+        for i, (_, width) in zip(indices, steps):
+            widths[i].append(width)
+        return stacked(indices, [x for x, _ in steps])
 
     searches = [linalg._golden_steps(a, b, tol) for a, b in zip(lo.tolist(), hi.tolist())]
     results = linalg._lockstep(searches, answer)
@@ -649,6 +668,9 @@ def test_lockstep_golden_sections_match_each_bracket_alone():
 
         assert results[i] == _reference_golden_max(f, float(lo[i]), float(hi[i]), tol)
         evaluations.append(len(alone))
+        # each abscissa comes with the width of a bracket that only narrows
+        assert widths[i][0] == widths[i][1] == hi[i] - lo[i]
+        assert widths[i] == sorted(widths[i], reverse=True)
     assert len(set(evaluations)) == len(lo)
     # each round asks the unfinished searches, in ascending order
     assert rounds == [[i for i, n in enumerate(evaluations) if n > r] for r in range(len(rounds))]

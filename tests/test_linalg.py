@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from impactpower import linalg
-from impactpower.errors import DimensionMismatch, ImpactPowerError, NoConvergence, NotHermitian
+from impactpower import correlations, linalg, oracle, states
+from impactpower.errors import DimensionMismatch, ImpactPowerError, NoConvergence, NotHermitian, OutOfRange
 
 from conftest import random_density, random_hermitian
 
@@ -246,3 +248,36 @@ def test_haar_stack_equals_haar_unitary_calls_in_turn():
 def test_haar_unitary_is_unitary(rng):
     u = linalg.haar_unitary(5, rng)
     assert np.max(np.abs(u.conj().T @ u - np.eye(5))) <= 1e-12
+
+
+_QUBITS = states.random_state((2, 2), seed=0)
+#: every public call that draws from a ``seed`` argument
+_SEEDED_CALLS = {
+    "p_min_search": lambda seed: oracle.p_min_search(_QUBITS, samples=5, seed=seed),
+    "p_max_search": lambda seed: oracle.p_max_search(_QUBITS, samples=5, seed=seed),
+    "discord_cq_search": lambda seed: oracle.discord_cq_search(_QUBITS, samples=3, seed=seed),
+    "trace_p_min_probe": lambda seed: oracle.trace_p_min_probe(_QUBITS, samples=5, seed=seed),
+    "fibonacci_sphere_axes": lambda seed: oracle.fibonacci_sphere_axes(5, seed=seed, jitter=0.5),
+    "random_state": lambda seed: states.random_state((2, 2), seed=seed),
+    "random_states": lambda seed: states.random_states((2, 2), None, [0, seed]),
+    "random_cq_spec": lambda seed: states.random_cq_spec((2, 2), seed=seed),
+    "measurement_min_discord": lambda seed: correlations.measurement_min_discord(
+        states.random_state((3, 2), seed=0), starts=2, seed=seed
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", ["x", 1.5, math.nan, -1, [1, -1]], ids=["str", "float", "nan", "negative", "list"])
+@pytest.mark.parametrize("call", sorted(_SEEDED_CALLS))
+def test_a_seed_numpy_cannot_take_is_out_of_range(call, seed):
+    # each once raised numpy's bare TypeError or ValueError
+    with pytest.raises(OutOfRange, match=r"^seed: expected None, a whole number >= 0"):
+        _SEEDED_CALLS[call](seed)
+
+
+@pytest.mark.parametrize("seed", [None, 3, 2**70, [1, 2], np.uint32(5), np.random.SeedSequence(4)])
+def test_seed_takes_what_default_rng_takes(seed):
+    assert linalg._seed(seed).random() == np.random.default_rng(seed).random() or seed is None
+    rng = np.random.default_rng(7)
+    assert linalg._seed(rng) is rng
+

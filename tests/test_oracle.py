@@ -329,24 +329,39 @@ def _axis_reference_states():
     ]
 
 
+def _polished_impact_powers(rho, axes, grid_points):
+    """The p_max objective: grid and golden polish of the unit-gap impact along each axis, to the end."""
+    polish = oracle._unit_gap_polishes(rho, axes, grid_points)
+    polish.finish(range(len(axes)))
+    return np.array(polish.low)
+
+
 @pytest.mark.parametrize("kind", ["p_min", "p_max"])
-def test_look_ahead_descent_matches_sequential_loop_on_oracle_objectives(kind):
+def test_look_ahead_descent_matches_sequential_loop_on_oracle_objectives(kind, monkeypatch):
     # the stacks hold the moves of the rounds after the current one as if every
     # move were rejected; the one-at-a-time descent must still be reproduced bit
-    # for bit, the stacked objectives scoring each axis as it does alone
+    # for bit, the stacked objectives scoring each axis as it does alone, and
+    # p_max deciding each stack on polishes in progress
     sign = 1.0 if kind == "p_min" else -1.0
+    stacks = []
+    descend = oracle._sphere_descent
+
+    def counted_descent(axis, first_accepted):
+        def counted(stack):
+            stacks.append(len(stack))
+            return first_accepted(stack)
+
+        return descend(axis, counted)
+
+    monkeypatch.setattr(oracle, "_sphere_descent", counted_descent)
     for i, rho in enumerate(_axis_reference_states()):
+        stacks.clear()
         if kind == "p_min":
             objective = partial(oracle._dephasing_distances, rho)
+            found = oracle.p_min_search(rho, samples=40, seed=[7, i])
         else:
-            objective = partial(oracle._qubit_impact_powers, rho, grid_points=12)
-        stacks = []
-
-        def counted(axes):
-            stacks.append(len(axes))
-            return objective(axes)
-
-        found = oracle._axis_search(counted, 40, [7, i], sign)
+            objective = partial(_polished_impact_powers, rho, grid_points=12)
+            found = oracle.p_max_search(rho, samples=40, seed=[7, i], grid_points=12)
         axes = oracle.fibonacci_sphere_axes(40, seed=[7, i], jitter=0.5)
         start = axes[int(np.argmin(sign * objective(axes)))]
         tried = []
@@ -361,9 +376,8 @@ def test_look_ahead_descent_matches_sequential_loop_on_oracle_objectives(kind):
         assert not np.array_equal(found.axis, start)
         # a round tries at most four moves, so rounds >= tries / 4; without the
         # look-ahead every round takes a stack of its own
-        descent = stacks[1:]
-        assert len(descent) < (len(tried) - 1) / 4
-        assert max(descent) > 4
+        assert len(stacks) < (len(tried) - 1) / 4
+        assert max(stacks) > 4
 
 
 def _frozen_unpruned_impact_powers(rho, axes, grid_points):
@@ -392,8 +406,8 @@ def _frozen_unpruned_impact_powers(rho, axes, grid_points):
     lo = np.maximum(best_t - step, step * 1e-9)
     hi = np.minimum(best_t + step, span)
 
-    def polish(active, x):
-        return oracle._direct_impacts(mat, embedded[active], rates, np.array(x)).tolist()
+    def polish(active, steps):
+        return oracle._direct_impacts(mat, embedded[active], rates, np.array([x for x, _ in steps])).tolist()
 
     searches = [linalg._golden_steps(a, b, 1e-12) for a, b in zip(lo.tolist(), hi.tolist())]
     val = np.array(linalg._lockstep(searches, polish))[:, 0]
@@ -410,6 +424,7 @@ def _curvature(rho, axis):
 @pytest.mark.parametrize("grid_points", [12, 13, 24])
 def test_pruned_sample_scores_keep_the_first_best_axis(grid_points):
     step = 2.0 * math.pi / grid_points
+    stopped = 0
     for i, rho in enumerate(_axis_reference_states() + [states.random_state((2, 4), rank=2, seed=24)]):
         axes = oracle.fibonacci_sphere_axes(300, seed=[8, i], jitter=0.5)
         pruned = oracle._sampled_impact_powers(rho, axes, grid_points)
@@ -419,13 +434,100 @@ def test_pruned_sample_scores_keep_the_first_best_axis(grid_points):
         best = int(np.argmax(full))
         assert int(np.argmax(pruned)) == best
         assert pruned[best] == full[best]
-        # the rule: polish each axis whose g + C step^2/2 reaches the largest g,
-        # keep g for every other; borderline axes within 1e-6 are left out
+        # the rule: an axis stops once its polish cannot reach the largest value
+        # so far, so a score lies between g and the polished value, and below
+        # the best unless it is the polished value
+        assert np.all((g <= pruned) & (pruned <= full))
+        assert np.all((pruned == full) | (pruned < full[best]))
+        # an axis whose g + C step^2/2 misses the largest g is never polished;
+        # borderline axes within 1e-6 are left out
         reach = g + np.array([_curvature(rho, axis) for axis in axes]) * step * step / 2.0
-        polished, kept = reach > g.max() + 1e-6, reach < g.max() - 1e-6
-        assert np.array_equal(pruned[polished], full[polished])
+        kept = reach < g.max() - 1e-6
         assert np.array_equal(pruned[kept], g[kept])
         assert kept.any()
+        stopped += np.count_nonzero((g < pruned) & (pruned < full))
+    # on an odd grid the polish gains, and some axes stop after gaining
+    assert stopped > 0 or grid_points % 2 == 0
+
+
+def _frozen_p_max_search(rho, samples, seed, grid_points):
+    """Reference: p_max_search with every sampled axis and every descent row
+    polished to the end, each comparison made on final values."""
+
+    def objective(axes):
+        return oracle._chunked(lambda a: _frozen_unpruned_impact_powers(rho, a, grid_points)[0], axes)
+
+    return oracle._axis_search(objective, samples, seed, -1.0)
+
+
+def _p_max_reference_states():
+    return [
+        states.random_state((2, 2), seed=31),
+        states.random_state((2, 3), seed=32),
+        states.random_state((2, 2), rank=1, seed=33),
+        states.random_state((2, 4), rank=2, seed=34),
+    ]
+
+
+@pytest.mark.parametrize("grid_points", [7, 12, 13, 24])
+@pytest.mark.parametrize("samples", [100, 1000])
+def test_p_max_search_matches_polishing_every_row(samples, grid_points):
+    # odd grids miss t = pi, where every unit-gap impact peaks, so there the
+    # polish gains more than rounding and the brackets decide the comparisons
+    for i, rho in enumerate(_p_max_reference_states()):
+        found = oracle.p_max_search(rho, samples=samples, seed=[10, i], grid_points=grid_points)
+        expected = _frozen_p_max_search(rho, samples, [10, i], grid_points)
+        assert found.value == expected.value
+        assert np.array_equal(found.axis, expected.axis)
+
+
+@pytest.mark.parametrize("grid_points", [7, 13])
+def test_polished_value_stays_within_every_round_bound(grid_points):
+    # while a golden section brackets its maximum by a width w, with m the
+    # largest value so far, the polish ends at most at m + C w^2/8: every point
+    # lies within w/2 of an end, and an end's value is at most m
+    span = 2.0 * math.pi
+    for k, rho in enumerate(_axis_reference_states()):
+        axes = oracle.fibonacci_sphere_axes(20, seed=[11, k], jitter=0.5)
+        polish = oracle._unit_gap_polishes(rho, axes, grid_points)
+        curvature = np.array([_curvature(rho, axis) for axis in axes])
+        bounds = [[] for _ in axes]
+        rows = list(range(len(axes)))
+        while rows := [i for i in rows if polish.requests[i] is not None]:
+            for i in rows:
+                bounds[i].append(polish.low[i] + curvature[i] * polish.requests[i][1] ** 2 / 8.0)
+            oracle._polish_step([(polish, rows)])
+        for final, rounds in zip(polish.low, bounds):
+            # a float allowance far below the 1e-12 slack of the search
+            assert final <= min(rounds) + 1e-14
+            assert len(rounds) > 50
+        # the first bound is at most the g + C step^2/2 of the sampling rule
+        step = span / grid_points
+        assert all(b[0] <= g + c * step * step / 2.0 + 1e-14 for b, g, c in zip(bounds, polish.grid, curvature))
+
+
+def _bench_p_max_pool(seed):
+    """The p_max_search requests of the oracle-crosscheck benchmark pool: 28 states and seeds."""
+    return [
+        (states.random_state((2, 2), seed=np.random.default_rng([seed, 4, k])), [seed, 4, k, 1]) for k in range(28)
+    ]
+
+
+def test_p_max_search_makes_fewer_sequential_evaluations(monkeypatch):
+    # with every comparison made on final values the search made 60,299
+    # sequential calls on this pool; deciding each as soon as its outcome is
+    # certain makes under 0.75 of them
+    calls = []
+    direct = oracle._direct_impacts
+
+    def counted(*args):
+        calls.append(None)
+        return direct(*args)
+
+    monkeypatch.setattr(oracle, "_direct_impacts", counted)
+    for rho, seed in _bench_p_max_pool(0):
+        oracle.p_max_search(rho, samples=100, seed=seed, grid_points=12)
+    assert len(calls) <= 0.75 * 60299
 
 
 @pytest.mark.parametrize("grid_points", [7, 12, 13, 24])
@@ -561,7 +663,7 @@ def test_stacked_kernels_match_per_axis(monkeypatch, chunk):
     kernels = (
         partial(oracle._dephasing_distances, rho),
         partial(oracle._trace_impacts, rho),
-        lambda a: oracle._qubit_impact_powers(rho, a, 12),
+        lambda a: _polished_impact_powers(rho, a, 12),
     )
     for kernel in kernels:
         stacked = oracle._chunked(kernel, axes)
