@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import correlations, dynamics, states, verify
+from . import correlations, dynamics, linalg, states, verify
 from .errors import ImpactPowerError
 
 CSV_HEADER = "family_param_or_seed,purity,p_min,p_max,discord,bound_rhs,gap_to_bound"
@@ -130,10 +130,8 @@ def _scan_rows(labels: list[str], mats: np.ndarray, d_b: int) -> list[str]:
 def cmd_scan(args: argparse.Namespace) -> int:
     rows: list[str]
     if args.family in ("werner", "isotropic"):
-        if args.grid < 2:
-            return _fail("--grid must be at least 2")
         lo, hi = (-1.0, 1.0) if args.family == "werner" else (0.0, 1.0)
-        params = np.linspace(lo, hi, args.grid).tolist()
+        params = np.linspace(lo, hi, linalg._count(args.grid, "--grid", low=2)).tolist()
         make = states.werner if args.family == "werner" else states.isotropic
         mats = np.stack([make(p).mat for p in params])
         rows = _scan_rows([_fmt(p) for p in params], mats, 2)
@@ -146,14 +144,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
             return _fail("random scans need d_A = 2 (closed forms apply to qubit A)")
         if d_b < 1:
             return _fail(f"--dims {args.dims!r} needs d_B >= 1")
-        if args.samples < 1:
-            return _fail("--samples must be positive")
-        rank = args.rank if args.rank else d_a * d_b
-        if not 1 <= rank <= d_a * d_b:
-            return _fail(f"--rank must lie in [1, {d_a * d_b}]")
+        samples = linalg._count(args.samples, "--samples")
+        rank = args.rank or None  # full rank for 0; random_states checks the rank
         rows = []
-        for start in range(0, args.samples, _SCAN_CHUNK):
-            items = range(start, min(start + _SCAN_CHUNK, args.samples))
+        for start in range(0, samples, _SCAN_CHUNK):
+            items = range(start, min(start + _SCAN_CHUNK, samples))
             mats = states.random_states((d_a, d_b), rank, states._row_generators([args.seed], items))
             rows += _scan_rows([str(i) for i in items], mats, d_b)
 
@@ -174,10 +169,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     timings: list[dict] = []
-    try:
-        summary = verify.run_suite(args.suite, seed=args.seed, budget=args.budget, timings=timings)
-    except ImpactPowerError as exc:
-        return _fail(str(exc))
+    summary = verify.run_suite(args.suite, seed=args.seed, budget=args.budget, timings=timings)
     if args.timings:
         try:
             with open(args.timings, "w", encoding="utf-8") as fh:
@@ -274,7 +266,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # looked up at each call, not bound into the cached parser, so that a
     # wrapper installed on this module (the span tracer of bench/) sees it
-    return globals()[f"cmd_{args.command}"](args)
+    try:
+        return globals()[f"cmd_{args.command}"](args)
+    except ImpactPowerError as exc:
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import dynamics, linalg
-from .errors import DegenerateHamiltonian, DimensionMismatch
+from .errors import DegenerateHamiltonian, DimensionMismatch, InvalidDensityMatrix
 from .states import DensityMatrix, bloch_decompose
 
 SATURATION_TOL = 1e-9
@@ -117,14 +117,15 @@ def p_extrema_stack(mats: np.ndarray, d_b: int) -> tuple[np.ndarray, np.ndarray,
     The matrices must already be validated density operators.  Row k equals
     ``p_extrema`` of matrix k alone, to the bit.
     """
-    mats = np.asarray(mats, dtype=complex)
-    dim = 2 * int(d_b)
+    mats = linalg._floats(mats, "state matrices", complex, InvalidDensityMatrix)
+    d_b = linalg._count(d_b, "d_B", error=DimensionMismatch)
+    dim = 2 * d_b
     if mats.ndim != 3 or mats.shape[1:] != (dim, dim):
         raise DimensionMismatch(
             f"p_extrema_stack needs an (N, {dim}, {dim}) stack for d_A = 2, d_B = {d_b}, "
             f"got shape {mats.shape}"
         )
-    _, eig = _m_stack(mats, int(d_b))
+    _, eig = _m_stack(mats, d_b)
     purity = linalg.hs_norm_sq(mats)
     p_min = _zero_roundoff(purity - eig.eigenvalues[:, -1])
     p_max = _zero_roundoff(purity - eig.eigenvalues[:, 0])
@@ -285,7 +286,7 @@ def purity_bound_check(rho: DensityMatrix) -> BoundCheck:
 
 def purity_bound_rhs(purity: float | np.ndarray) -> float | np.ndarray:
     """(4/3) Tr[rho^2] - 1/3, the two-qubit purity bound on p_min; elementwise on arrays."""
-    return (4.0 / 3.0) * purity - 1.0 / 3.0
+    return (4.0 / 3.0) * linalg._finite(purity, "purity") - 1.0 / 3.0
 
 
 def general_dim_bound_check(
@@ -331,6 +332,6 @@ def report(
     p_min, p_max = p_extrema(rho)
     bound_rhs = saturates = None
     if rho.d_b == 2:
-        bound_rhs = purity_bound_rhs(purity)
+        bound_rhs = float(purity_bound_rhs(purity))
         saturates = abs(p_min - bound_rhs) <= SATURATION_TOL
     return CorrelationReport(purity, p_min, p_max, p_min / 2.0, bound_rhs, saturates, method="closed-form")

@@ -96,22 +96,18 @@ class LocalHamiltonian:
 
     def __post_init__(self) -> None:
         energies = linalg._floats(self.energies, "energies").reshape(-1)
-        count = len(self.projectors)
+        projectors = linalg._floats(self.projectors, "projectors", complex, InvalidHamiltonian)
+        count = len(projectors) if projectors.ndim else 0
         if energies.size != count or count == 0:
             raise DimensionMismatch(
                 f"need one projector per energy, got {energies.size} energies "
                 f"and {count} projectors"
             )
-        try:
-            projectors = np.array(self.projectors, dtype=complex)
-        except ValueError as exc:  # ragged: numpy cannot stack them
-            raise DimensionMismatch("projectors have inconsistent shapes") from exc
         if projectors.ndim != 3 or projectors.shape[1] != projectors.shape[2]:
             raise DimensionMismatch("projectors have inconsistent shapes")
-        if not np.all(np.isfinite(energies)):
-            raise InvalidHamiltonian("energies have non-finite (NaN or inf) entries")
-        if not np.all(np.isfinite(projectors)):
-            raise InvalidHamiltonian("projectors have non-finite (NaN or inf) entries")
+        for name, array in (("energies", energies), ("projectors", projectors)):
+            if not np.isfinite(array).all():
+                raise InvalidHamiltonian(f"{name} have non-finite (NaN or inf) entries")
         skew = np.abs(projectors - projectors.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         bad = np.flatnonzero(skew > PROJECTOR_TOL)
         if bad.size:
@@ -182,7 +178,7 @@ class LocalHamiltonian:
     @classmethod
     def from_matrix(cls, h: np.ndarray) -> "LocalHamiltonian":
         """Spectral decomposition of a Hermitian matrix, merging close eigenvalues."""
-        h = np.asarray(h, dtype=complex)
+        h = linalg._floats(h, "Hamiltonian matrix", complex, InvalidHamiltonian)
         eig = linalg.hermitian_eigendecompose(h)
         vecs = eig.eigenvectors.T
         return cls(eig.eigenvalues, vecs[:, :, None] * vecs.conj()[:, None, :])
@@ -190,7 +186,7 @@ class LocalHamiltonian:
     @classmethod
     def from_bloch_axis(cls, axis, gap: float) -> "LocalHamiltonian":
         """Qubit Hamiltonian (gap/2) r.sigma for a unit axis r."""
-        axis = np.reshape(linalg._real(axis, "bloch axis"), -1)
+        axis = np.reshape(linalg._finite(axis, "bloch axis"), -1)
         if axis.shape != (3,):
             raise DimensionMismatch(f"bloch axis must have 3 components, got {axis.shape}")
         largest = float(np.max(np.abs(axis)))
@@ -240,7 +236,7 @@ def _evolved(rho: DensityMatrix, h: LocalHamiltonian, t) -> np.ndarray:
     # the matrix of rho(t) = U rho U^dagger with U = exp(-i H_A t) (x) 1_B,
     # one matrix per entry of the time array t (a single one for a scalar)
     h.check_acts_on(rho)
-    times = np.asarray(linalg._real(t, "time"))
+    times = linalg._finite(t, "time")
     u_a = _level_sum(np.exp(-1j * h.energies * times[..., None]), h.projectors)
     u = linalg.tensor(u_a, np.eye(rho.d_b, dtype=complex))
     return u @ rho.mat @ u.conj().swapaxes(-1, -2)
@@ -249,8 +245,6 @@ def _evolved(rho: DensityMatrix, h: LocalHamiltonian, t) -> np.ndarray:
 def evolve(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> DensityMatrix:
     """Conjugate rho by exp(-i H_A t) (x) 1_B at one time t."""
     time = linalg._real(t, "time")
-    if np.ndim(time) != 0:
-        raise DimensionMismatch(f"evolve takes one time, got an array of shape {np.shape(time)}")
     # unitary conjugation preserves every density-matrix invariant
     return DensityMatrix(_evolved(rho, h, time), rho.dims, validate=False)
 

@@ -199,8 +199,8 @@ def _lockstep(searches: list[Generator], answer: Callable[[list[int], list], lis
 
 
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random d x d unitary (QR of a Ginibre matrix, phases fixed)."""
-    return _haar_stack(d, 1, rng)[0]
+    """Haar-random d x d unitary (QR of a Ginibre matrix, phases fixed); ``rng`` is read by ``_seed``."""
+    return _haar_stack(_count(d, "unitary dimension"), 1, _seed(rng))[0]
 
 
 def _haar_stack(d: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -228,16 +228,16 @@ def _pairs_to_matrix(pairs: list[list[float]], rows: int, cols: int, field: str)
 
 
 def _count(value, name: str, low: int = 1, error: type[ImpactPowerError] = OutOfRange) -> int:
-    """The count ``name`` as an int: a whole number >= ``low`` (``operator.index``).
+    """The count ``name`` as an int: a whole number from ``low`` to ``sys.maxsize``.
 
-    ``error`` naming the parameter for 0, -3, 1.5, True, "2" and the like;
-    numpy integers pass.
+    ``error`` naming the parameter for 0, -3, 1.5, True, "2", 10**400 and the
+    like; numpy integers pass (``operator.index``).
     """
     try:
         count = operator.index(value)
     except TypeError:
         count = low - 1
-    if count < low or isinstance(value, bool):
+    if not low <= count <= sys.maxsize or isinstance(value, bool):
         raise error(f"{name}: expected a whole number >= {low}, got {reprlib.repr(value)}")
     return count
 
@@ -257,36 +257,51 @@ def _dims(dims) -> tuple[int, int]:
     )
 
 
-def _floats(value, name: str) -> np.ndarray:
-    """The real parameter ``name`` as a float array, NaN and inf kept.
+def _floats(value, name: str, dtype=float, error=OutOfRange) -> np.ndarray:
+    """The parameter ``name`` as a float (or complex) array of any shape, NaN and inf kept.
 
-    OutOfRange naming it unless every entry is an int or float (numpy numbers
-    pass) that fits a float: for "0.3", True, None, 10**400.
+    ``error`` naming it unless every entry is an int or a float (or a complex,
+    for complex ``dtype``; numpy numbers pass) that fits a float: for "0.3",
+    True, None, 10**400, and a ragged nest of lists, whose rows are entries.
+    DimensionMismatch for arrays numpy cannot stack, "<name> have inconsistent shapes".
     """
-    # entry by entry unless a numeric array: numpy reads [0.5, True] as [0.5, 1.0]
-    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf") and not all(
-        isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-        for v in np.asarray(value, dtype=object).flat
-    ):
-        raise OutOfRange(f"{name} {reprlib.repr(value)} is not a real number")
+    kinds = "iuf" if dtype is float else "iufc"
     try:
-        return np.asarray(value, dtype=float)
+        # entry by entry unless a numeric array: numpy reads [0.5, True] as [0.5, 1.0]
+        if not (isinstance(value, np.ndarray) and value.dtype.kind in kinds) and not all(
+            np.dtype(getattr(v, "dtype", type(v))).kind in kinds
+            for v in np.asarray(value, dtype=object).flat
+        ):
+            kind = "real" if dtype is float else "complex"
+            raise error(f"{name} {reprlib.repr(value)} is not a {kind} number")
+        return np.asarray(value, dtype=dtype)
     except OverflowError:
-        raise OutOfRange(f"{name} {reprlib.repr(value)} does not fit a float") from None
+        raise error(f"{name} {reprlib.repr(value)} does not fit a float") from None
+    except ValueError:  # the arrays of a ragged stack, left as entries or refused by numpy
+        raise DimensionMismatch(f"{name} have inconsistent shapes") from None
 
 
-def _real(value, name: str, low: float = -math.inf, high: float = math.inf):
-    """The real parameter ``name`` as a float, or a float array for array input.
-
-    OutOfRange naming it unless every entry is a finite int or float (numpy
-    numbers pass) within [low, high]: for "0.3", True, NaN, inf, 10**400.
-    """
-    array = _floats(value, name)
+def _finite(value, name: str, low=-math.inf, high=math.inf, dtype=float, error=OutOfRange) -> np.ndarray:
+    """``_floats``, then ``error`` naming the parameter unless every entry is finite and in [low, high]."""
+    array = _floats(value, name, dtype, error)
     if not np.isfinite(array).all():
-        raise OutOfRange(f"{name} {reprlib.repr(array.tolist())} is non-finite (NaN or inf)")
+        raise error(f"{name} {reprlib.repr(array.tolist())} is non-finite (NaN or inf)")
     if not ((low <= array) & (array <= high)).all():
-        raise OutOfRange(f"{name} {reprlib.repr(array.tolist())} outside [{low:g}, {high:g}]")
-    return float(array) if array.ndim == 0 else array
+        raise error(f"{name} {reprlib.repr(array.tolist())} outside [{low:g}, {high:g}]")
+    return array
+
+
+def _real(value, name: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """The real parameter ``name`` as one float.
+
+    OutOfRange naming it unless it is a finite int or float (numpy numbers
+    pass) within [low, high]: for "0.3", True, NaN, inf, 10**400.
+    DimensionMismatch, "expected one <name>", for an array.
+    """
+    array = _finite(value, name, low, high)
+    if array.ndim:
+        raise DimensionMismatch(f"expected one {name}, got an array of shape {array.shape}")
+    return float(array)
 
 
 def _seed(value) -> np.random.Generator:

@@ -603,8 +603,6 @@ def unitary_expm_evolve(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> De
     """
     h.check_acts_on(rho)
     time = linalg._real(t, "time")
-    if np.ndim(time) != 0:
-        raise DimensionMismatch(f"unitary_expm_evolve takes one time, got shape {np.shape(time)}")
     generator = -1j * time * linalg.tensor(h.matrix(), np.eye(rho.d_b, dtype=complex))
     norm = math.sqrt(linalg.hs_norm_sq(generator))
     if not math.isfinite(norm):

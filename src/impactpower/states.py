@@ -13,6 +13,7 @@ import functools
 import json
 import math
 import operator
+import reprlib
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass
 
@@ -105,7 +106,7 @@ class DensityMatrix:
 
     def __post_init__(self, validate: bool) -> None:
         d_a, d_b = linalg._dims(self.dims)
-        mat = np.asarray(self.mat, dtype=complex)
+        mat = linalg._floats(self.mat, "state matrix", complex, InvalidDensityMatrix)
         if validate:
             mat = _validated_density(mat, d_a * d_b)
         object.__setattr__(self, "mat", mat)
@@ -139,14 +140,12 @@ class DensityMatrix:
 
 def from_pure(vec: np.ndarray, dims: tuple[int, int]) -> DensityMatrix:
     """Rank-one projector |psi><psi| for a normalized state vector."""
-    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    vec = linalg._finite(vec, "state vector", dtype=complex, error=NotNormalized).reshape(-1)
     d_a, d_b = linalg._dims(dims)
     if vec.size != d_a * d_b:
         raise DimensionMismatch(
             f"vector of length {vec.size} does not fit dims {d_a}x{d_b}"
         )
-    if not np.all(np.isfinite(vec)):
-        raise NotNormalized("state vector has non-finite (NaN or inf) entries")
     nrm = float(np.linalg.norm(vec))
     if abs(nrm - 1.0) > 1e-9:
         raise NotNormalized(f"state vector norm {nrm!r} is not 1 within 1e-9")
@@ -206,30 +205,26 @@ class ClassicalQuantumSpec:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        probs = np.reshape(linalg._real(self.probabilities, "probabilities", low=-1e-12), -1)
-        basis = np.asarray(self.basis, dtype=complex)
-        blocks = tuple(np.asarray(b, dtype=complex) for b in self.blocks)
+        probs = np.reshape(linalg._finite(self.probabilities, "probabilities", low=-1e-12), -1)
+        basis = linalg._finite(self.basis, "basis", dtype=complex)
+        blocks = linalg._floats(self.blocks, "B-side blocks", complex, InvalidDensityMatrix)
         n = probs.size
-        if not np.all(np.isfinite(basis)):
-            raise OutOfRange("basis has non-finite (NaN or inf) entries")
-        if basis.ndim != 2 or basis.shape[1] != n or len(blocks) != n:
+        if basis.ndim != 2 or basis.shape[1] != n or blocks.shape[:1] != (n,):
             raise DimensionMismatch(
                 f"need one basis column and one block per probability "
-                f"(got {n} probabilities, basis {basis.shape}, {len(blocks)} blocks)"
+                f"(got {n} probabilities, basis {basis.shape}, blocks {blocks.shape})"
             )
         if abs(float(probs.sum()) - 1.0) > 1e-12:
             raise OutOfRange(f"probabilities sum to {float(probs.sum())!r}, expected 1")
         gram = basis.conj().T @ basis
         if float(np.max(np.abs(gram - np.eye(n)))) > 1e-10:
             raise NotNormalized("basis columns are not orthonormal within 1e-10")
-        d_b = blocks[0].shape[0]
-        for b in blocks:
-            if b.shape != (d_b, d_b):
-                raise DimensionMismatch("B-side blocks have inconsistent shapes")
-            _validated_density(b, d_b)
+        if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
+            raise DimensionMismatch("B-side blocks have inconsistent shapes")
+        _validated_stack(blocks, blocks.shape[1])
         object.__setattr__(self, "probabilities", np.clip(probs, 0.0, None))
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @property
     def d_a(self) -> int:
@@ -279,6 +274,8 @@ def random_states(
     rank = dim if rank is None else linalg._count(rank, "rank")
     if rank > dim:
         raise OutOfRange(f"rank {rank} outside [1, {dim}]")
+    if not (isinstance(seeds, Sequence) or np.ndim(seeds) > 0):
+        raise OutOfRange(f"seeds: expected a sequence of seeds, got {reprlib.repr(seeds)}")
     if len(seeds) == 0:
         return np.empty((0, dim, dim), dtype=complex)
     # per seed one draw of the real parts, then the imaginary parts

@@ -366,6 +366,23 @@ def test_scan_rejects_bad_dims(capsys):
         assert "--dims" in err and "d_B >= 1" in err and "--rank" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["scan", "random", "--dims", "2x99999999999999999999999", "--samples", "2"], "subsystem dimension"),
+        (["scan", "werner", "--grid", "99999999999999999999"], "--grid: expected a whole number >= 2"),
+        (["scan", "werner", "--grid", "1"], "--grid: expected a whole number >= 2"),
+        (["scan", "random", "--samples", "0"], "--samples: expected a whole number >= 1"),
+        (["scan", "random", "--dims", "2x2", "--rank", "5"], "rank 5 outside [1, 4]"),
+    ],
+)
+def test_scan_sizes_numpy_cannot_take_exit_2(capsys, argv, words):
+    # the first two once ended in numpy's ValueError: Maximum allowed ... exceeded
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {words}") and "Traceback" not in err
+
+
 def test_scan_rejects_unknown_family():
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["scan", "ghz"])
