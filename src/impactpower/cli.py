@@ -53,8 +53,7 @@ _READ_ERRORS = (OSError, UnicodeDecodeError, RecursionError, ValueError)
 
 
 def cmd_compute(args: argparse.Namespace) -> int:
-    if args.time_samples < 0:
-        return _fail("--time-samples must be >= 0")
+    time_samples = linalg._count(args.time_samples, "--time-samples", low=0)
     try:
         rho = states.load_state(args.state_file)
     except ImpactPowerError as exc:
@@ -75,7 +74,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             except _READ_ERRORS as exc:
                 return _fail(f"cannot parse hamiltonian file {args.hamiltonian!r}: {exc}")
             res = dynamics.impact_power_result(rho, ham)
-            profile = _impact_profile(rho, ham, args.time_samples)
+            profile = _impact_profile(rho, ham, time_samples)
         except ImpactPowerError as exc:
             return _fail(f"invalid hamiltonian file {args.hamiltonian!r}: {exc}")
         out["hamiltonian"] = {
@@ -145,7 +144,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         if d_b < 1:
             return _fail(f"--dims {args.dims!r} needs d_B >= 1")
         samples = linalg._count(args.samples, "--samples")
-        rank = args.rank or None  # full rank for 0; random_states checks the rank
+        dim = d_a * d_b
+        rank = linalg._count(args.rank, "--rank", low=0) or dim  # full rank for 0
+        if rank > dim:
+            return _fail(f"--rank {rank} outside [1, {dim}]")
         rows = []
         for start in range(0, samples, _SCAN_CHUNK):
             items = range(start, min(start + _SCAN_CHUNK, samples))

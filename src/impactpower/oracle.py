@@ -11,14 +11,16 @@ candidates (axes, times or CQ parameters) in one numpy pass, at most
 value does not depend on how candidates are stacked.  The searches keep the
 candidate order, step schedule, tolerances and acceptance rule of trying one
 candidate at a time: a descent round accepts the first improving candidate of
-its stack and re-stacks the remaining moves from there.  The sphere descent of
-``p_min_search`` and ``p_max_search`` also stacks, after the moves left in its
-round, the moves of the next ``_LOOKAHEAD`` rounds as they run if every move
-before them is rejected.  Those rows are exactly the candidates that trying
-one at a time reaches while it rejects, so the first improving row is still
-the next move it accepts, and fewer stacks run one after another.  The CQ
-multistart is a coroutine per start, run by :func:`impactpower.linalg._lockstep`,
-and each round of it gets one stacked evaluation.
+its stack and re-stacks the remaining moves from there.  ``p_min_search`` and
+``p_max_search`` share one sphere search that maximizes a score, the negated
+distance for p_min: it samples axes, starts from the first best, and its
+descent also stacks, after the moves left in its round, the moves of the next
+``_LOOKAHEAD`` rounds as they run if every move before them is rejected.
+Those rows are exactly the candidates that trying one at a time reaches while
+it rejects, so the first improving row is still the next move it accepts, and
+fewer stacks run one after another.  The CQ multistart is a coroutine per
+start, run by :func:`impactpower.linalg._lockstep`, and each round of it gets
+one stacked evaluation.
 
 A time polish golden-sections the two grid cells around a grid maximum, and
 :class:`_Polishes` steps the polishes of many axes together, one stacked
@@ -26,14 +28,16 @@ evaluation a step.  The impact of an axis has
 |I''| <= C = ||[H, rho]||^2 + 2 ||[H, [H, rho]]||, so while a polish brackets
 its maximum by a width w, with m the largest value found so far, it ends in
 [m, m + C w^2/8]: every point of the bracket lies within w/2 of an end whose
-value is at most m, and I' = 0 at an inner maximum.  ``p_max_search`` decides
-each comparison of polished values as soon as these brackets make it certain.
-A sampled axis stops once it cannot reach the largest m of all axes, and a
-descent row once its comparison with the current value is certain, so only
-the rows that decide a stack are polished to the end.  The descent needs the
-accepted axis but not its value, so its next stack starts at once and is
-compared against the accepted row's bracket, whose polish shares each stacked
-evaluation with the new rows.  Every value and axis keeps its bits.
+value is at most m, and I' = 0 at an inner maximum.  The one acceptance of the
+sphere descent, :class:`_Acceptance`, compares such brackets and decides each
+comparison as soon as they make it certain.  p_min's exact values are brackets
+of zero width, so they decide every stack at once.  For p_max a sampled axis
+stops once it cannot reach the largest m of all axes, and a descent row once
+its comparison with the current value is certain, so only the rows that
+decide a stack are polished to the end.  The descent needs the accepted axis
+but not its value, so its next stack starts at once and is compared against
+the accepted row's bracket, whose polish shares each stacked evaluation with
+the new rows.  Every value and axis keeps its bits.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ _ANGLE_STEP0 = 0.1
 _ANGLE_STEP_MIN = 1e-8
 #: sphere-descent rounds stacked after the current one, as they run if its moves are rejected
 _LOOKAHEAD = 2
-#: a descent move is accepted only if it lowers the objective by more than this
+#: a descent move is accepted only if it improves the objective by more than this
 _ACCEPT_MARGIN = 1e-18
 #: rounding allowance of the polish bound of p_max: impacts are at most 2, a
 #: priori bounds put their float error near 1e-14, and 16,000 seeded polishes
@@ -187,9 +191,10 @@ def _sphere_descent(axis: np.ndarray, first_accepted: Callable[[np.ndarray], int
     """The step-halving descent on the sphere from ``axis``; returns its last axis.
 
     ``first_accepted(stack)`` gives the index of the first row of a stack of
-    axes that improves on the value of the current axis, or None.  A round
-    tries the four moves of :func:`_sphere_moves` in order, accepting every
-    improving one; a round with no move halves the step.  Each stack holds
+    axes that improves on the value of the current axis, or None, as
+    :class:`_Acceptance` does.  A round tries the four moves of
+    :func:`_sphere_moves` in order, accepting every improving one; a round
+    with no move halves the step.  Each stack holds
     the moves left in the current round, then the moves of the next
     ``_LOOKAHEAD`` rounds as they run if every move before them is rejected:
     from the same axis, at the same step after a round that moved and at
@@ -221,43 +226,6 @@ def _sphere_descent(axis: np.ndarray, first_accepted: Callable[[np.ndarray], int
     return axis
 
 
-def _axis_search(
-    objective: Callable[[np.ndarray], np.ndarray],
-    samples: int,
-    seed: int | np.random.Generator | None,
-    sign: float,
-) -> AxisSearch:
-    """The axis minimizing ``sign * objective``: sign 1 minimizes, -1 maximizes.
-
-    ``objective`` maps an ``(N, 3)`` stack of axes to N values.  The first
-    best of ``samples`` jittered Fibonacci-lattice axes, deterministic for a
-    given seed, starts a derivative-free descent on the sphere that rotates
-    towards tangent directions, halving the step angle from ``_ANGLE_STEP0``
-    down to ``_ANGLE_STEP_MIN``.  A row is accepted when it lowers the value
-    by more than the acceptance margin.
-    """
-
-    def signed(axes: np.ndarray) -> np.ndarray:
-        return sign * objective(axes)
-
-    axes = fibonacci_sphere_axes(linalg._count(samples, "samples"), seed=seed, jitter=0.5)
-    values = _chunked(signed, axes)
-    best = int(np.argmin(values))
-    value = float(values[best])
-
-    def first_accepted(stack: np.ndarray) -> int | None:
-        nonlocal value
-        stacked = signed(stack).tolist()
-        threshold = value - _ACCEPT_MARGIN
-        j = next((i for i, v in enumerate(stacked) if v < threshold), None)
-        if j is not None:
-            value = stacked[j]
-        return j
-
-    axis = _sphere_descent(axes[best], first_accepted)
-    return AxisSearch(value=sign * value, axis=axis)
-
-
 def _pauli_combination(vectors: np.ndarray) -> np.ndarray:
     """r.sigma for a real 3-vector r, or for each row of an ``(..., 3)`` stack."""
     vectors = np.asarray(vectors, dtype=float)
@@ -272,13 +240,17 @@ def _qubit_projectors(axes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (_EYE2 + r_sigma) / 2.0, (_EYE2 - r_sigma) / 2.0
 
 
+def _unit_gap_embedded(rho: DensityMatrix, axes: np.ndarray) -> np.ndarray:
+    """(Pi_+, Pi_-) (x) 1_B along each axis, stacked on axis -3: the measurement
+    along it, and the levels 0 and 1 of the unit-gap Hamiltonian H = Pi_- (x) 1_B."""
+    return linalg.tensor(np.stack(_qubit_projectors(axes), axis=-3), np.eye(rho.d_b, dtype=complex))
+
+
 def _dephasing_distances(rho: DensityMatrix, axes: np.ndarray) -> np.ndarray:
     """2 ||rho - sum_i Pi_i rho Pi_i||^2 for the qubit measurement along each axis."""
-    p_plus, p_minus = _qubit_projectors(axes)
-    eye_b = np.eye(rho.d_b, dtype=complex)
-    p0 = linalg.tensor(p_plus, eye_b)
-    p1 = linalg.tensor(p_minus, eye_b)
-    dephased = p0 @ rho.mat @ p0 + p1 @ rho.mat @ p1
+    embedded = _unit_gap_embedded(rho, axes)
+    # a sum of two terms, so exact in either order
+    dephased = (embedded @ rho.mat @ embedded).sum(axis=-3)
     return 2.0 * linalg.hs_norm_sq(rho.mat - dephased)
 
 
@@ -385,11 +357,6 @@ class _Polishes:
             if polished >= self.grid[i]:
                 self.t[i] = t
 
-    def finish(self, rows) -> None:
-        """Polish ``rows`` to the end."""
-        while any(self.requests[i] is not None for i in rows):
-            _polish_step([(self, rows)])
-
 
 def _polish_step(parts: list[tuple[_Polishes, list[int]]]) -> None:
     """One golden step of each listed row still polishing, from one stacked evaluation.
@@ -408,6 +375,12 @@ def _polish_step(parts: list[tuple[_Polishes, list[int]]]) -> None:
             p.send(i, next(values))
 
 
+def _finish(polish, rows) -> None:
+    """Polish ``rows`` of ``polish`` to the end."""
+    while any(polish.requests[i] is not None for i in rows):
+        _polish_step([(polish, rows)])
+
+
 def impact_power_grid(
     rho: DensityMatrix, h: LocalHamiltonian, grid_points: int = 4096
 ) -> GridMax:
@@ -424,28 +397,8 @@ def impact_power_grid(
     embedded = linalg.tensor(h.projectors, np.eye(rho.d_b, dtype=complex))
     problem = (rho.mat, embedded[None], -1j * h.energies, h.period, grid_points)
     polish = _Polishes(*problem, *_grid_maxima(*problem))
-    polish.finish([0])
+    _finish(polish, [0])
     return GridMax(value=polish.low[0], t=polish.t[0])
-
-
-def p_min_search(
-    rho: DensityMatrix, samples: int = 1000, seed: int | np.random.Generator | None = 0
-) -> AxisSearch:
-    """Minimal impact power by axis sampling: min_r 2 ||rho - Phi_r(rho)||^2.
-
-    Scans ``samples`` jittered Fibonacci-lattice axes and refines the best
-    one by derivative-free descent, deterministic for a given seed.
-    """
-    if rho.d_a != 2:
-        raise DimensionMismatch(f"p_min_search requires d_A = 2, got {rho.d_a}")
-
-    return _axis_search(partial(_dephasing_distances, rho), samples, seed, 1.0)
-
-
-def _unit_gap_embedded(rho: DensityMatrix, axes: np.ndarray) -> np.ndarray:
-    """(Pi_+, Pi_-) (x) 1_B along each axis, stacked on axis -3: the levels 0
-    and 1 of the unit-gap Hamiltonian H = Pi_- (x) 1_B."""
-    return linalg.tensor(np.stack(_qubit_projectors(axes), axis=-3), np.eye(rho.d_b, dtype=complex))
 
 
 def _curvatures(mat: np.ndarray, embedded: np.ndarray) -> np.ndarray:
@@ -509,65 +462,106 @@ def _sampled_impact_powers(rho: DensityMatrix, axes: np.ndarray, grid_points: in
     return values
 
 
-class _PmaxAcceptance:
-    """The acceptance test of the ``p_max_search`` descent, decided on polishes in progress.
+class _ExactScores:
+    """Exact values as brackets of zero width, in the shape of :class:`_Polishes`:
+    ``low[i]`` is the value of row i, ``high(i)`` the same, and no row asks
+    for a polish step."""
 
-    Called on a stack, it returns the first row whose polished impact power
-    exceeds the current value, the value of the last accepted axis, as
-    :func:`_axis_search` would, or None.  Each row is compared by its bracket
-    [``low``, ``high``] against the bracket of the current value.  A row
-    stops once it is certainly rejected, and so does every row after a
-    certain accept; the stack is decided once the first row left is a
-    certain accept, or no row is left.  The accepted row's polish goes on
+    def __init__(self, values: list[float]) -> None:
+        self.low, self.requests = values, [None] * len(values)
+
+    def high(self, i: int) -> float:
+        return self.low[i]
+
+
+class _Acceptance:
+    """The acceptance test of the sphere descent, decided on brackets of the scores.
+
+    ``score(stack)`` gives the scores of a stack of axes as :class:`_Polishes`
+    in progress or as :class:`_ExactScores`.  Called on a stack, the test
+    returns the first row whose score exceeds the current value, the score of
+    the last accepted axis, by more than the acceptance margin, or None.
+    Each row is compared by its bracket [``low``, ``high``] against the
+    bracket of the current value.  A row stops once it is certainly
+    rejected, and so does every row after a certain accept; the stack is
+    decided once the first row left is a certain accept, or no row is left.
+    Exact scores decide every stack at once.  A polished row is stepped
+    until its comparison is certain, and the accepted row's polish goes on
     while the next stacks are compared against it, in the same stacked
     evaluations as their own rows.
     """
 
-    def __init__(self, rho: DensityMatrix, grid_points: int, value: float) -> None:
-        self.rho, self.grid_points = rho, grid_points
-        #: the current value: exact, or the polish and row of the last accepted axis
-        self.value, self.held = value, None
-
-    def bounds(self) -> tuple[float, float]:
-        if self.held is None:
-            return self.value, self.value
-        polish, i = self.held
-        return polish.low[i], polish.high(i)
+    def __init__(self, score: Callable[[np.ndarray], _Polishes | _ExactScores], value: float) -> None:
+        self.score = score
+        #: the scores and row of the current value: the start's, then the last accepted one
+        self.current = (_ExactScores([value]), 0)
 
     def __call__(self, stack: np.ndarray) -> int | None:
-        polish = _unit_gap_polishes(self.rho, stack, self.grid_points)
+        scores = self.score(stack)
         rows = range(len(stack))
         while True:
-            low, high = self.bounds()
-            # the descent minimizes -P and accepts -P_j < -value - margin: the
-            # loosest threshold is at the lowest value, the strictest at the
-            # highest.  A certain outcome stays certain, so a rejected row and
-            # the rows after a certain accept leave for good.
-            loosest, strictest = -low - _ACCEPT_MARGIN, -high - _ACCEPT_MARGIN
+            current, j = self.current
+            # the loosest threshold is at the lowest current value, the strictest
+            # at the highest.  A certain outcome stays certain, so a rejected
+            # row and the rows after a certain accept leave for good.
+            loosest, strictest = current.low[j] + _ACCEPT_MARGIN, current.high(j) + _ACCEPT_MARGIN
             left, accepted = [], False
             for i in rows:
-                if -polish.high(i) < loosest:
+                if scores.high(i) > loosest:
                     left.append(i)
-                    if -polish.low[i] < strictest:
+                    if scores.low[i] > strictest:
                         accepted = True
                         break
             rows = left
             if not rows:
                 return None
             if accepted and len(rows) == 1:
-                self.held = (polish, rows[0])
+                self.current = (scores, rows[0])
                 return rows[0]
             # some row is still unpolished, or the outcome would be certain
-            held = [] if self.held is None else [(self.held[0], [self.held[1]])]
-            _polish_step([(polish, rows), *held])
+            _polish_step([(scores, rows), (current, [j])])
 
     def final(self) -> float:
         """The current value, its polish finished."""
-        if self.held is None:
-            return self.value
-        polish, i = self.held
-        polish.finish([i])
-        return polish.low[i]
+        current, j = self.current
+        _finish(current, [j])
+        return current.low[j]
+
+
+def _sphere_search(
+    sampled: Callable[[np.ndarray], np.ndarray],
+    score: Callable[[np.ndarray], _Polishes | _ExactScores],
+    samples: int,
+    seed: int | np.random.Generator | None,
+) -> AxisSearch:
+    """The axis of the largest score, and that score: the first best of ``samples``
+    jittered Fibonacci-lattice axes, scored by ``sampled``, starts
+    :func:`_sphere_descent`, whose stacks ``score`` brackets for :class:`_Acceptance`."""
+    axes = fibonacci_sphere_axes(linalg._count(samples, "samples"), seed=seed, jitter=0.5)
+    values = sampled(axes)
+    best = int(np.argmax(values))
+    accept = _Acceptance(score, float(values[best]))
+    axis = _sphere_descent(axes[best], accept)
+    return AxisSearch(value=accept.final(), axis=axis)
+
+
+def p_min_search(
+    rho: DensityMatrix, samples: int = 1000, seed: int | np.random.Generator | None = 0
+) -> AxisSearch:
+    """Minimal impact power by axis sampling: min_r 2 ||rho - Phi_r(rho)||^2.
+
+    Scans ``samples`` jittered Fibonacci-lattice axes and refines the best
+    one by derivative-free descent, deterministic for a given seed.  The
+    search maximizes the negated distance, exact for every axis.
+    """
+    if rho.d_a != 2:
+        raise DimensionMismatch(f"p_min_search requires d_A = 2, got {rho.d_a}")
+
+    def negated(axes: np.ndarray) -> np.ndarray:
+        return -_chunked(partial(_dephasing_distances, rho), axes)
+
+    found = _sphere_search(negated, lambda stack: _ExactScores(negated(stack).tolist()), samples, seed)
+    return AxisSearch(value=-found.value, axis=found.axis)
 
 
 def p_max_search(
@@ -581,19 +575,17 @@ def p_max_search(
     For every axis the impact power of the unit-gap Hamiltonian along it is
     recomputed by the time-grid search of :func:`impact_power_grid`, so the
     only shared machinery with the closed form is the linear-algebra kernel.
-    The first best of ``samples`` jittered Fibonacci-lattice axes starts the
-    descent of :func:`_axis_search`, with the same accepted moves and values.
+    The sampled axes are scored by :func:`_sampled_impact_powers` and the
+    descent's stacks by polishes in progress, so each comparison is decided
+    as soon as it is certain, with the moves and values of polishing every
+    axis to the end.
     """
     if rho.d_a != 2:
         raise DimensionMismatch(f"p_max_search requires d_A = 2, got {rho.d_a}")
 
     grid_points = linalg._count(grid_points, "grid_points")
-    axes = fibonacci_sphere_axes(linalg._count(samples, "samples"), seed=seed, jitter=0.5)
-    values = _sampled_impact_powers(rho, axes, grid_points)
-    best = int(np.argmax(values))
-    accept = _PmaxAcceptance(rho, grid_points, float(values[best]))
-    axis = _sphere_descent(axes[best], accept)
-    return AxisSearch(value=accept.final(), axis=axis)
+    sampled = partial(_sampled_impact_powers, rho, grid_points=grid_points)
+    return _sphere_search(sampled, partial(_unit_gap_polishes, rho, grid_points=grid_points), samples, seed)
 
 
 def unitary_expm_evolve(rho: DensityMatrix, h: LocalHamiltonian, t: float) -> DensityMatrix:
@@ -656,7 +648,7 @@ def _cq_row_distances(target: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _conditional_rests(rho: DensityMatrix, axes: np.ndarray) -> np.ndarray:
     """Per axis of an ``(N, 3)`` stack, the weight and block Bloch vectors read off
     rho measured along it: the optimal CQ parameters for that axis."""
-    embedded = linalg.tensor(np.stack(_qubit_projectors(axes), axis=-3), _EYE2)
+    embedded = _unit_gap_embedded(rho, axes)
     blocks = linalg.partial_trace_A(embedded @ rho.mat @ embedded, rho.dims)
     weights = np.trace(blocks, axis1=-2, axis2=-1).real
     kept = weights > 1e-12
@@ -772,9 +764,9 @@ def discord_cq_search(
 
 def _trace_impacts(rho: DensityMatrix, axes: np.ndarray) -> np.ndarray:
     """Half the squared trace norm of U rho U^dagger - rho, U = r.sigma (x) 1_B, per axis r."""
-    p_plus, p_minus = _qubit_projectors(axes)
+    embedded = _unit_gap_embedded(rho, axes)
     # unit gap, so the Hilbert-Schmidt peak time is exactly pi
-    u = linalg.tensor(p_plus - p_minus, np.eye(rho.d_b, dtype=complex))
+    u = embedded[..., 0, :, :] - embedded[..., 1, :, :]
     delta = u @ rho.mat @ u.conj().swapaxes(-1, -2) - rho.mat
     return 0.5 * linalg.trace_norm(delta) ** 2
 

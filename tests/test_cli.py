@@ -117,11 +117,15 @@ def test_compute_bell_with_hamiltonian(capsys, bell_file, z_hamiltonian_file):
 
 def test_compute_rejects_negative_time_samples(capsys, bell_file, z_hamiltonian_file):
     argv = ["compute", bell_file, "--hamiltonian", z_hamiltonian_file, "--time-samples"]
-    assert run(capsys, argv + ["-3"]) == (2, "", "error: --time-samples must be >= 0\n")
+    assert run(capsys, argv + ["-3"]) == (2, "", "error: --time-samples: expected a whole number >= 0, got -3\n")
     code, out, _ = run(capsys, argv + ["0"])
     assert code == 0
     data = json.loads(out)
     assert "impact_power" in data and "impact_profile" not in data
+    # a count past what numpy can allocate once ended in its ValueError traceback
+    too_many = "99999999999999999999"
+    expected = f"error: --time-samples: expected a whole number >= 0, got {too_many}\n"
+    assert run(capsys, argv + [too_many]) == (2, "", expected)
 
 
 def test_compute_finishes_for_a_tiny_level_gap(capsys, tmp_path):
@@ -373,7 +377,8 @@ def test_scan_rejects_bad_dims(capsys):
         (["scan", "werner", "--grid", "99999999999999999999"], "--grid: expected a whole number >= 2"),
         (["scan", "werner", "--grid", "1"], "--grid: expected a whole number >= 2"),
         (["scan", "random", "--samples", "0"], "--samples: expected a whole number >= 1"),
-        (["scan", "random", "--dims", "2x2", "--rank", "5"], "rank 5 outside [1, 4]"),
+        (["scan", "random", "--dims", "2x2", "--rank", "5"], "--rank 5 outside [1, 4]"),
+        (["scan", "random", "--dims", "2x2", "--rank", "-1"], "--rank: expected a whole number >= 0"),
     ],
 )
 def test_scan_sizes_numpy_cannot_take_exit_2(capsys, argv, words):

@@ -308,15 +308,21 @@ def _sphere_bowl(axes):
 
 @pytest.mark.parametrize("minimize", [True, False])
 def test_stacked_refine_matches_sequential_loop(minimize):
-    # the reference: the first best lattice axis, then the one-at-a-time descent
-    sign = 1.0 if minimize else -1.0
+    # the reference: the first best lattice axis, then the one-at-a-time
+    # descent; the shared search maximizes, so it minimizes the bowl through
+    # its negation, with the same comparisons to the bit
+    sign = -1.0 if minimize else 1.0
+
+    def score(axes):
+        return sign * _sphere_bowl(axes)
+
     for seed in range(6):
         axes = oracle.fibonacci_sphere_axes(40, seed=seed, jitter=0.5)
         values = _sphere_bowl(axes)
         start = axes[int(np.argmin(values) if minimize else np.argmax(values))]
         expected = _sequential_refine_axis(_sphere_bowl, start, minimize=minimize)
-        found = oracle._axis_search(_sphere_bowl, 40, seed, sign)
-        assert found.value == expected[0]
+        found = oracle._sphere_search(score, lambda stack: oracle._ExactScores(score(stack).tolist()), 40, seed)
+        assert sign * found.value == expected[0]
         assert np.array_equal(found.axis, expected[1])
         assert not np.array_equal(found.axis, start)
 
@@ -332,7 +338,7 @@ def _axis_reference_states():
 def _polished_impact_powers(rho, axes, grid_points):
     """The p_max objective: grid and golden polish of the unit-gap impact along each axis, to the end."""
     polish = oracle._unit_gap_polishes(rho, axes, grid_points)
-    polish.finish(range(len(axes)))
+    oracle._finish(polish, range(len(axes)))
     return np.array(polish.low)
 
 
@@ -378,6 +384,32 @@ def test_look_ahead_descent_matches_sequential_loop_on_oracle_objectives(kind, m
         # look-ahead every round takes a stack of its own
         assert len(stacks) < (len(tried) - 1) / 4
         assert max(stacks) > 4
+
+
+def test_exact_p_min_scores_decide_every_stack_without_polish_steps(monkeypatch):
+    # p_min's negated distances are brackets of zero width, so the acceptance
+    # that p_max shares decides each of its stacks on the values alone
+    def no_step(parts):
+        raise AssertionError("a p_min stack asked for a polish step")
+
+    decisions = []
+    descend = oracle._sphere_descent
+
+    def recorded_descent(axis, first_accepted):
+        def recorded(stack):
+            decisions.append(first_accepted(stack))
+            return decisions[-1]
+
+        return descend(axis, recorded)
+
+    monkeypatch.setattr(oracle, "_polish_step", no_step)
+    monkeypatch.setattr(oracle, "_sphere_descent", recorded_descent)
+    for i, rho in enumerate(_axis_reference_states()):
+        decisions.clear()
+        found = oracle.p_min_search(rho, samples=40, seed=[7, i])
+        assert found.value == oracle._dephasing_distances(rho, found.axis[None])[0]
+        # stacks that accepted a row and stacks that rejected every row
+        assert None in decisions and any(j is not None for j in decisions)
 
 
 def _frozen_unpruned_impact_powers(rho, axes, grid_points):
@@ -452,12 +484,12 @@ def test_pruned_sample_scores_keep_the_first_best_axis(grid_points):
 
 def _frozen_p_max_search(rho, samples, seed, grid_points):
     """Reference: p_max_search with every sampled axis and every descent row
-    polished to the end, each comparison made on final values."""
+    polished to the end, each comparison made on final values: exact brackets."""
 
     def objective(axes):
         return oracle._chunked(lambda a: _frozen_unpruned_impact_powers(rho, a, grid_points)[0], axes)
 
-    return oracle._axis_search(objective, samples, seed, -1.0)
+    return oracle._sphere_search(objective, lambda stack: oracle._ExactScores(objective(stack).tolist()), samples, seed)
 
 
 def _p_max_reference_states():
